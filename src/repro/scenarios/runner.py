@@ -1,14 +1,15 @@
 """One entry point for every simulation the repo can run (Layer 5).
 
-:func:`run_campaign` walks a campaign in order, dispatches each
-scenario to the right engine through the fork-pool transport of
-:mod:`repro.sim.parallel` — open-loop scenarios fan their
-(load × replica) grid across workers via
-:func:`~repro.sim.parallel.parallel_latency_vs_load`; runs of pending
-closed-loop scenarios are batched into one
-:func:`~repro.sim.parallel.parallel_workload_completion` call — and
-streams one JSON row per result to a JSONL file as each scenario
-completes.
+:func:`run_campaign` splits a campaign's pending scenarios into work
+units (:func:`repro.service.units.partition_units`: one per open-loop
+scenario, one per run of pending closed-loop scenarios), runs each
+unit through :func:`repro.service.units.execute_unit` — which fans an
+open-loop scenario's (load × replica) grid across workers via
+:func:`~repro.sim.parallel.parallel_latency_vs_load` and a closed-loop
+batch via :func:`~repro.sim.parallel.parallel_workload_completion` —
+and streams one JSON row per result to a JSONL file, in campaign
+order, as each scenario completes.  Local and service campaigns share
+this one path; only the caller of ``execute_unit`` differs.
 
 Every row carries its scenario hash and its ``row``/``rows`` position,
 so the output is self-describing and resumable: with ``resume=True``
@@ -26,10 +27,10 @@ Resume generalizes beyond one file through two opt-in transports
   store replay from it without simulating, and freshly simulated
   scenarios are written back — so any scenario ever simulated against
   the store, by any process on any host, is never re-simulated.
-- ``service=`` dispatches the pending work units through a
-  coordinator/worker scheduler (:mod:`repro.service.coordinator`)
-  instead of the local fork pools; rows stay byte-identical to an
-  in-process run at any worker/host count.
+- ``service=`` hands the pending work units to a coordinator/worker
+  scheduler (:mod:`repro.service.coordinator`) instead of running
+  them in this process; rows stay byte-identical to an in-process run
+  at any worker/host count.
 
 Next to the JSONL, the runner writes a provenance sidecar
 (``<out>.meta.json``): the campaign name, package version, worker
@@ -59,115 +60,14 @@ from pathlib import Path
 from typing import IO, Sequence
 
 from repro.scenarios.campaign import Campaign
-from repro.scenarios.resolve import resolve
 from repro.scenarios.spec import Scenario, canonical_json, scenario_hash
-from repro.sim.parallel import (
-    CompletionTask,
-    parallel_latency_vs_load,
-    parallel_workload_completion,
-    simulations_started,
-)
-from repro.sim.stats import LoadPoint, WorkloadResult
 
-
-def _clean(value):
-    """NaN -> None so rows stay strict JSON (and reload unchanged)."""
-    if isinstance(value, float) and value != value:
-        return None
-    return value
-
-
-def _open_payload(
-    scenario: Scenario,
-    points: Sequence[LoadPoint],
-    disconnected: bool = False,
-) -> list[dict]:
-    """One open-loop scenario's result rows, minus the campaign name.
-
-    Payload rows are the campaign-independent part of a row — what the
-    content-addressed store keys by ``scenario_hash`` and what service
-    workers ship back over the wire.  :func:`_with_campaign` stamps the
-    campaign name in; because the final line is ``canonical_json``
-    either way, a row replayed from a payload is byte-identical to a
-    freshly simulated one.
-
-    Rows of a faulted scenario additionally carry ``fault_fraction``
-    (the spec's link-kill fraction — the x-axis of degradation
-    figures) and ``disconnected``; healthy scenarios write neither
-    key, so their pre-fault row bytes are untouched.
-    """
-    h = scenario_hash(scenario)
-    spec = scenario.to_dict()
-    rows = []
-    for i, pt in enumerate(points):
-        row = {
-            "scenario": h,
-            "label": scenario.label,
-            "engine": "open",
-            "fidelity": scenario.backend,
-            "row": i,
-            "rows": len(points),
-            "load": pt.load,
-            "latency": _clean(pt.latency),
-            "accepted": _clean(pt.accepted),
-            "saturated": bool(pt.saturated),
-            "spec": spec,
-        }
-        if scenario.fault is not None:
-            row["fault_fraction"] = scenario.fault.link_fraction
-            row["disconnected"] = bool(disconnected)
-        rows.append(row)
-    return rows
-
-
-def _open_scenario_payloads(
-    scenario: Scenario, workers: int
-) -> tuple[list[dict], list[dict]]:
-    """Resolve and run one open-loop scenario into (rows, metrics).
-
-    The single execution path shared by the local dispatch loop and
-    the service worker (:mod:`repro.service.units`), so remote and
-    local rows cannot drift.  A faulted scenario whose degraded
-    topology fell apart short-circuits into structured
-    ``disconnected`` rows — one per load point, null latency and
-    throughput — without touching the simulator (routing tables over
-    a disconnected graph are undefined).
-    """
-    resolved = resolve(scenario)
-    if resolved.disconnected:
-        points = [
-            LoadPoint(load=load, latency=None, accepted=None, saturated=False)
-            for load in scenario.loads
-        ]
-        return _open_payload(scenario, points, disconnected=True), []
-    points = _run_open(resolved, workers)
-    return _open_payload(scenario, points), _metrics_payload(scenario, points)
-
-
-def _closed_payload(scenario: Scenario, result: WorkloadResult) -> list[dict]:
-    """One closed-loop scenario's result row, minus the campaign name."""
-    return [
-        {
-            "scenario": scenario_hash(scenario),
-            "label": scenario.label,
-            "engine": "closed",
-            "fidelity": scenario.backend,
-            "row": 0,
-            "rows": 1,
-            "workload": result.workload,
-            "num_messages": result.num_messages,
-            "completed_messages": result.completed_messages,
-            "finished": result.finished,
-            "makespan": result.makespan,
-            "cycles": result.cycles,
-            "delivered_flits": result.delivered_flits,
-            "avg_message_latency": _clean(result.avg_message_latency),
-            "p99_message_latency": _clean(result.p99_message_latency),
-            "avg_packet_latency": _clean(result.avg_packet_latency),
-            "flits_per_cycle": _clean(result.flits_per_cycle),
-            "spec": scenario.to_dict(),
-        }
-    ]
+# Module import, not ``from ... import``: units imports
+# repro.scenarios submodules, so when a process imports
+# repro.service.units first, this module runs while units is still
+# half-initialised and may only bind the module object.
+from repro.service import units
+from repro.sim.parallel import simulations_started
 
 
 def _with_campaign(payload: Sequence[dict], campaign: str) -> list[dict]:
@@ -178,34 +78,6 @@ def _with_campaign(payload: Sequence[dict], campaign: str) -> list[dict]:
 def metrics_path_for(out_path: Path) -> Path:
     """The telemetry sidecar path for a campaign output file."""
     return out_path.with_name(out_path.name + ".metrics.jsonl")
-
-
-def _metrics_payload(
-    scenario: Scenario, points: Sequence[LoadPoint]
-) -> list[dict]:
-    """Telemetry sidecar rows for one open-loop scenario (campaign-free).
-
-    One row per load point that actually carries telemetry; fill
-    points past the saturation short-circuit (and every point of a
-    telemetry-off scenario) contribute nothing.  ``row``/``rows``
-    mirror the main result rows, so a sidecar row joins its result
-    row on (scenario, row).
-    """
-    h = scenario_hash(scenario)
-    rows = []
-    for i, pt in enumerate(points):
-        if pt.telemetry is None:
-            continue
-        row = {
-            "scenario": h,
-            "label": scenario.label,
-            "row": i,
-            "rows": len(points),
-            "load": pt.load,
-        }
-        row.update(pt.telemetry.to_dict())
-        rows.append(row)
-    return rows
 
 
 def _load_metrics_cache(path: Path, campaign_name: str) -> dict[str, list[str]]:
@@ -310,7 +182,9 @@ class CampaignReport:
     #: Telemetry sidecar rows (parsed), in campaign order.
     metrics_rows: list[dict] = field(default_factory=list)
     #: Heartbeat event stream: scenario_start / scenario_finish /
-    #: campaign_finish dicts with wall-clock and simulation counts.
+    #: batch_start / batch_finish / scenario_cached / campaign_finish
+    #: dicts with wall-clock, simulation counts and, on the finish
+    #: events of simulated units, the engine backend that ran.
     events: list[dict] = field(default_factory=list)
 
     @property
@@ -339,18 +213,6 @@ class CampaignReport:
         if self.metrics_rows:
             text += f", {len(self.metrics_rows)} telemetry rows"
         return text + (f" -> {self.out}" if self.out else "")
-
-
-def _sims_per_s(sims: int, wall: float) -> float | None:
-    """Simulation rate for a heartbeat event; null when meaningless.
-
-    Fully-resumed campaigns schedule zero simulations and can finish in
-    ~zero wall-clock — both make a rate division-prone nonsense, so
-    such events carry ``sims_per_s: null`` instead.
-    """
-    if not sims or wall <= 0:
-        return None
-    return round(sims / wall, 2)
 
 
 def _write_meta(
@@ -430,22 +292,6 @@ def _emit(stream: IO[str] | None, rows: list[dict], raw: list[str] | None) -> No
     stream.flush()
 
 
-def _run_open(resolved, workers: int) -> list[LoadPoint]:
-    s = resolved.scenario
-    return parallel_latency_vs_load(
-        resolved.topology,
-        resolved.routing_factory,
-        resolved.traffic,
-        loads=s.loads,
-        config=resolved.config,
-        workers=workers,
-        replicas=s.replicas,
-        stop_after_saturation=s.stop_after_saturation,
-        backend=resolved.backend,
-        telemetry=resolved.telemetry,
-    )
-
-
 def _heartbeat(report: CampaignReport, progress: bool, **fields) -> None:
     """Record one heartbeat event; echo it to stderr under --progress.
 
@@ -455,42 +301,6 @@ def _heartbeat(report: CampaignReport, progress: bool, **fields) -> None:
     report.events.append(fields)
     if progress:
         print(canonical_json(fields), file=sys.stderr, flush=True)
-
-
-def partition_units(
-    scenarios: Sequence[Scenario], pending: Sequence[bool]
-) -> list[tuple[str, list[int]]]:
-    """Split the pending scenarios into schedulable work units.
-
-    The unit boundaries replicate the local dispatch loop exactly: an
-    open-loop scenario is one unit; a run of pending closed-loop
-    scenarios — consecutive modulo already-cached neighbours, stopping
-    at the next pending open-loop scenario — forms one batch unit (the
-    grain :func:`~repro.sim.parallel.parallel_workload_completion`
-    receives).  Units are in campaign order, so executing them in
-    order and emitting cached scenarios between them reconstructs the
-    campaign's deterministic row order.
-    """
-    units: list[tuple[str, list[int]]] = []
-    i = 0
-    while i < len(scenarios):
-        if not pending[i]:
-            i += 1
-        elif scenarios[i].engine == "open":
-            units.append(("open", [i]))
-            i += 1
-        else:
-            j = i
-            batch: list[int] = []
-            while j < len(scenarios) and not (
-                pending[j] and scenarios[j].engine == "open"
-            ):
-                if pending[j]:
-                    batch.append(j)
-                j += 1
-            units.append(("closed", batch))
-            i = j
-    return units
 
 
 def run_campaign(
@@ -518,9 +328,9 @@ def run_campaign(
     ``store_hits``) and fresh results are written back, so the store
     memoizes across files, processes, and hosts while the output stays
     byte-identical to a cold run.  ``service`` (a
-    :class:`~repro.service.coordinator.ServiceConfig`) dispatches the
-    pending work units through the coordinator/worker scheduler
-    instead of the local fork pools — same rows, any host count.
+    :class:`~repro.service.coordinator.ServiceConfig`) hands the
+    pending work units to the coordinator/worker scheduler instead of
+    running them in this process — same rows, any host count.
 
     A campaign whose every scenario is already covered by the resume
     file and/or the store is recognised *before* any spec resolution,
@@ -666,23 +476,11 @@ def run_campaign(
             )
 
     try:
-        if not any(pending):
-            # No-op resume short-circuit: everything is in the resume
-            # file and/or the store, so replay it without resolving a
-            # single topology, opening a service socket, or forking a
-            # pool — O(hash count) + the byte replay.
-            for i in range(len(scenarios)):
-                _replay_cached(i)
-        elif service is not None:
-            _run_service(
-                campaign, scenarios, hashes, pending, workers, service,
-                report, progress, _replay_cached, _record_simulated,
-            )
-        else:
-            _run_local(
-                campaign, scenarios, hashes, pending, workers,
-                report, progress, _replay_cached, _record_simulated,
-            )
+        _run_units(
+            campaign.name, scenarios, pending, workers, service,
+            lambda **fields: _heartbeat(report, progress, **fields),
+            _replay_cached, _record_simulated,
+        )
     finally:
         if stream is not None:
             stream.close()
@@ -692,7 +490,7 @@ def run_campaign(
     _heartbeat(
         report, progress, event="campaign_finish", campaign=campaign.name,
         workers=workers, wall_s=round(wall, 3), sims=sims,
-        sims_per_s=_sims_per_s(sims, wall),
+        sims_per_s=units._sims_per_s(sims, wall),
         simulated=report.simulated, skipped=report.skipped,
         rows=len(report.rows),
     )
@@ -725,124 +523,30 @@ def run_campaign(
     return report
 
 
-def _run_local(
-    campaign: Campaign,
+def _run_units(
+    campaign: str,
     scenarios: Sequence[Scenario],
-    hashes: Sequence[str],
-    pending: Sequence[bool],
-    workers: int,
-    report: CampaignReport,
-    progress: bool,
-    replay_cached,
-    record_simulated,
-) -> None:
-    """The in-process dispatch loop (fork-pool transports of Layer 3)."""
-    i = 0
-    while i < len(scenarios):
-        s = scenarios[i]
-        if not pending[i]:
-            replay_cached(i)
-            i += 1
-        elif s.engine == "open":
-            _heartbeat(
-                report, progress, event="scenario_start",
-                campaign=campaign.name, scenario=hashes[i], label=s.label,
-                index=i, of=len(scenarios), workers=workers,
-            )
-            t0 = time.perf_counter()
-            sims0 = simulations_started()
-            payload, metrics = _open_scenario_payloads(s, workers)
-            wall = time.perf_counter() - t0
-            sims = simulations_started() - sims0
-            record_simulated(i, payload, metrics)
-            _heartbeat(
-                report, progress, event="scenario_finish",
-                campaign=campaign.name, scenario=hashes[i], label=s.label,
-                index=i, of=len(scenarios), workers=workers,
-                wall_s=round(wall, 3), sims=sims,
-                sims_per_s=_sims_per_s(sims, wall),
-            )
-            i += 1
-        else:
-            # Batch the pending closed-loop scenarios of the window
-            # [i, j): consecutive modulo cached/closed neighbours,
-            # stopping at the next pending open-loop scenario.
-            j = i
-            batch: list[int] = []
-            while j < len(scenarios) and not (
-                pending[j] and scenarios[j].engine == "open"
-            ):
-                if pending[j]:
-                    batch.append(j)
-                j += 1
-            tasks = []
-            for k in batch:
-                r = resolve(scenarios[k])
-                tasks.append(
-                    CompletionTask(
-                        topology=r.topology,
-                        routing_factory=r.routing_factory,
-                        workload=r.workload,
-                        config=r.config,
-                        max_cycles=scenarios[k].max_cycles,
-                        label=scenarios[k].label,
-                        backend=r.backend,
-                    )
-                )
-            if batch:
-                _heartbeat(
-                    report, progress, event="batch_start",
-                    campaign=campaign.name, engine="closed",
-                    scenarios=len(batch), index=i, of=len(scenarios),
-                    workers=workers,
-                )
-            t0 = time.perf_counter()
-            sims0 = simulations_started()
-            results = dict(
-                zip(batch, parallel_workload_completion(tasks, workers=workers))
-            )
-            wall = time.perf_counter() - t0
-            sims = simulations_started() - sims0
-            if batch:
-                _heartbeat(
-                    report, progress, event="batch_finish",
-                    campaign=campaign.name, engine="closed",
-                    scenarios=len(batch), index=i, of=len(scenarios),
-                    workers=workers, wall_s=round(wall, 3), sims=sims,
-                    sims_per_s=_sims_per_s(sims, wall),
-                )
-            for k in range(i, j):
-                if k in results:
-                    record_simulated(
-                        k, _closed_payload(scenarios[k], results[k]), []
-                    )
-                else:
-                    replay_cached(k)
-            i = j
-
-
-def _run_service(
-    campaign: Campaign,
-    scenarios: Sequence[Scenario],
-    hashes: Sequence[str],
     pending: Sequence[bool],
     workers: int,
     service,
-    report: CampaignReport,
-    progress: bool,
+    heartbeat,
     replay_cached,
     record_simulated,
 ) -> None:
-    """Dispatch the pending units through the coordinator scheduler.
+    """Run the pending work units and commit their rows in campaign order.
 
-    The coordinator completes units in whatever order workers finish
-    them but hands them back here in campaign order, so rows stream to
-    the output file deterministically: cached scenarios interleave at
-    their campaign positions, exactly like the local loop.
+    :func:`~repro.service.units.partition_units` splits the pending
+    scenarios into units, and every unit runs through
+    :func:`~repro.service.units.execute_unit`.  The one branch is who
+    calls it: the service coordinator (which may lease the unit to a
+    remote worker and hands results back in campaign order whatever
+    order they complete in) or the in-process loop below.  Either way
+    ``on_scenario`` commits each fresh scenario and replays the cached
+    ones before it, so rows stream in campaign order.  A no-op resume
+    has no units, so nothing is resolved, no socket is opened and no
+    pool is forked — the cached rows are replayed and that is all.
     """
-    from repro.service.coordinator import Coordinator
-
-    units = partition_units(scenarios, pending)
+    work = units.partition_units(scenarios, pending)
     next_idx = 0
 
     def emit_cached_until(limit: int) -> None:
@@ -861,11 +565,26 @@ def _run_service(
         record_simulated(k, payload["rows"], payload.get("metrics", []))
         next_idx = k + 1
 
-    coordinator = Coordinator(
-        campaign.name, scenarios, service, local_workers=workers,
-        heartbeat=lambda **fields: _heartbeat(report, progress, **fields),
-    )
-    coordinator.execute(units, on_scenario)
+    if service is not None:
+        from repro.service.coordinator import Coordinator
+
+        Coordinator(
+            campaign, scenarios, service, local_workers=workers,
+            heartbeat=heartbeat,
+        ).execute(work, on_scenario)
+    else:
+        for kind, indices in work:
+            # Cached scenarios before this unit replay before its start
+            # event, so the heartbeat stream follows campaign order.
+            emit_cached_until(indices[0])
+            entries = [
+                units.UnitEntry(k, len(scenarios), scenarios[k]) for k in indices
+            ]
+            payloads, _sims = units.execute_unit(
+                campaign, kind, entries, workers=workers, heartbeat=heartbeat
+            )
+            for k, payload in zip(indices, payloads):
+                on_scenario(k, payload)
     emit_cached_until(len(scenarios))
 
 

@@ -388,6 +388,12 @@ class Scenario:
                     f"scenarios need one of {sorted(FAULT_AWARE)}"
                 )
         self.loads = [float(x) for x in self.loads]
+        # A load is a fraction of injection bandwidth.  Anything else
+        # would still hash, and would simulate into silent garbage (a
+        # NaN load writes a null-latency, unsaturated row).
+        bad = [x for x in self.loads if not 0.0 < x <= 1.0]
+        if bad:
+            raise ValueError(f"loads must be finite and in (0, 1], got {bad}")
 
     def revalidate(self) -> None:
         """Re-run every spec's invariant checks and normalisations.

@@ -3,7 +3,7 @@
 The coordinator is a single-threaded ``selectors`` loop owned by the
 calling :func:`~repro.scenarios.runner.run_campaign` process.  It
 listens on a TCP socket, hands each work unit (see
-:func:`~repro.scenarios.runner.partition_units`) to a connected worker
+:func:`~repro.service.units.partition_units`) to a connected worker
 as a *lease*, and buffers completed units so scenarios are handed back
 strictly in campaign order — workers may finish in any order without
 perturbing a byte of the output.
@@ -125,7 +125,7 @@ class Coordinator:
     def execute(self, units, on_scenario) -> None:
         """Run the units; invoke ``on_scenario(index, payload)`` in order.
 
-        ``units`` is :func:`~repro.scenarios.runner.partition_units`
+        ``units`` is :func:`~repro.service.units.partition_units`
         output.  ``on_scenario`` fires exactly once per pending
         scenario, in strictly increasing campaign-index order, with the
         ``{"scenario", "rows", "metrics"}`` payload dict — regardless

@@ -108,27 +108,13 @@ class EngineBackend(ABC):
         """
 
 
-class CycleBackend(EngineBackend):
-    """The cycle-accurate flit-level engine (DESIGN.md Layers 1-2)."""
+class _CycleFamily(EngineBackend):
+    """The cycle-accurate engines' shared sweep.
 
-    name = "cycle"
-    fidelity = "cycle-accurate (flit level)"
-    determinism = (
-        "bit-exact vs the frozen seed engine (sim/reference.py) for any "
-        "seed and routing; rows identical for any worker count"
-    )
-    supports_closed_loop = True
-
-    def simulate(
-        self, topology, routing, traffic, offered_load, config=None,
-        telemetry=None,
-    ):
-        from repro.sim.engine import simulate
-
-        return simulate(
-            topology, routing, traffic, offered_load, config,
-            telemetry=telemetry,
-        )
+    Both consume per-replica RNG streams, so both sweep through the
+    wave loop of :func:`~repro.sim.parallel.parallel_latency_vs_load`
+    under their own registry name.
+    """
 
     def sweep(
         self,
@@ -153,12 +139,35 @@ class CycleBackend(EngineBackend):
             workers=workers,
             replicas=replicas,
             stop_after_saturation=stop_after_saturation,
-            backend="cycle",
+            backend=self.name,
             telemetry=telemetry,
         )
 
 
-class CycleVecBackend(EngineBackend):
+class CycleBackend(_CycleFamily):
+    """The cycle-accurate flit-level engine (DESIGN.md Layers 1-2)."""
+
+    name = "cycle"
+    fidelity = "cycle-accurate (flit level)"
+    determinism = (
+        "bit-exact vs the frozen seed engine (sim/reference.py) for any "
+        "seed and routing; rows identical for any worker count"
+    )
+    supports_closed_loop = True
+
+    def simulate(
+        self, topology, routing, traffic, offered_load, config=None,
+        telemetry=None,
+    ):
+        from repro.sim.engine import simulate
+
+        return simulate(
+            topology, routing, traffic, offered_load, config,
+            telemetry=telemetry,
+        )
+
+
+class CycleVecBackend(_CycleFamily):
     """The batched-numpy cycle engine (:mod:`repro.sim.engine_vec`).
 
     Same flit-level semantics as ``cycle``, executed as vectorised
@@ -183,33 +192,6 @@ class CycleVecBackend(EngineBackend):
 
         return vec_simulate(
             topology, routing, traffic, offered_load, config,
-            telemetry=telemetry,
-        )
-
-    def sweep(
-        self,
-        topology,
-        routing_factory,
-        traffic,
-        loads,
-        config=None,
-        workers=1,
-        replicas=1,
-        stop_after_saturation=1,
-        telemetry=None,
-    ):
-        from repro.sim.parallel import parallel_latency_vs_load
-
-        return parallel_latency_vs_load(
-            topology,
-            routing_factory,
-            traffic,
-            loads=loads,
-            config=config,
-            workers=workers,
-            replicas=replicas,
-            stop_after_saturation=stop_after_saturation,
-            backend="cycle-vec",
             telemetry=telemetry,
         )
 

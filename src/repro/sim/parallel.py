@@ -7,23 +7,26 @@ experiment across ``multiprocessing`` workers and returns the same
 
 - **Determinism** — each (point, replica) derives its RNG seed from
   the config seed and the replica index alone, so results are
-  identical for any worker count (including the in-process serial
-  fallback).  Replica 0 keeps the config seed itself, which makes a
+  identical for any worker count (including the in-process
+  executor).  Replica 0 keeps the config seed itself, which makes a
   1-replica parallel sweep bit-for-bit equal to the serial sweep.
 - **Saturation short-circuit** — the serial sweep stops simulating
   after ``stop_after_saturation`` consecutive saturated points and
-  marks the tail.  The parallel runner schedules loads in
-  worker-sized waves (ascending), re-evaluates the cutoff after each
-  wave, and replaces any row past the cutoff with the same marked
-  ``LoadPoint`` — output equality is preserved while wasted work is
-  bounded by one wave.
+  marks the tail.  This runner schedules loads in waves (ascending),
+  re-evaluates the cutoff after each wave, and replaces any row past
+  the cutoff with the same marked ``LoadPoint`` — output equality is
+  preserved while wasted work is bounded by one wave.
+- **One wave loop, two executors** — a wave runs on a fork pool
+  (``workers`` wide) or, with ``workers <= 1`` or no ``fork`` start
+  method, through the builtin ``map`` in this process, one load per
+  wave (so the in-process path never overshoots the cutoff).
 - **Worker transport** — tasks carry only ``(point, replica, load)``
   tuples; the topology, routing factory (often an unpicklable
   closure), traffic pattern and config are published in a module
   global *before* the pool forks, so children inherit them by
   copy-on-write.  This requires the ``fork`` start method; platforms
-  without it (Windows, macOS spawn default) transparently fall back
-  to the serial path.
+  without it (Windows, macOS spawn default) transparently run
+  in process instead.
 
 With ``replicas > 1`` each load point is simulated under several
 derived seeds and the row reports the replica mean (latency averaged
@@ -36,7 +39,9 @@ from __future__ import annotations
 import multiprocessing as mp
 import os
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -47,7 +52,7 @@ from repro.sim.stats import LoadPoint, SimResult, WorkloadResult
 from repro.sim.sweep import default_loads
 from repro.sim.telemetry import TelemetrySpec, merge_telemetry
 
-#: Simulation inputs published to forked workers (set per sweep).
+#: Simulation inputs published to forked workers (set per pool).
 _WORK: dict = {}
 
 #: Simulations scheduled by this process (serial runs and tasks handed
@@ -95,20 +100,18 @@ def replica_seed(base_seed: int, replica: int) -> int:
     return int(ss.generate_state(1, dtype=np.uint64)[0])
 
 
-def _simulate_task(task: tuple[int, int, float]) -> tuple[int, int, SimResult]:
-    """Run one (point, replica) simulation inside a worker."""
+def _simulate_task(
+    work: dict, task: tuple[int, int, float]
+) -> tuple[int, int, SimResult]:
+    """Run one (point, replica) simulation of a sweep's ``work``."""
     index, replica, load = task
-    topology = _WORK["topology"]
-    routing_factory = _WORK["routing_factory"]
-    traffic = _WORK["traffic"]
-    config: SimConfig = _WORK["config"]
-    sim_fn = _WORK.get("sim_fn", simulate)
-    telemetry = _WORK.get("telemetry")
+    config: SimConfig = work["config"]
     seed = replica_seed(config.seed, replica)
     if seed != config.seed:
         config = replace(config, seed=seed)
-    result = sim_fn(
-        topology, routing_factory(), traffic, load, config, telemetry=telemetry
+    result = work["sim_fn"](
+        work["topology"], work["routing_factory"](), work["traffic"], load,
+        config, telemetry=work["telemetry"],
     )
     return index, replica, result
 
@@ -170,7 +173,7 @@ def _apply_short_circuit(
 def _fork_context():
     # fork is listed as available on macOS but is unsafe there once
     # Accelerate/CoreFoundation state exists (the reason CPython moved
-    # macOS to spawn-by-default); honour the documented serial fallback.
+    # macOS to spawn-by-default); honour the documented in-process fallback.
     if sys.platform == "darwin":
         return None
     try:
@@ -179,6 +182,41 @@ def _fork_context():
     except ValueError:  # pragma: no cover - exotic platforms
         pass
     return None
+
+
+def _call_published(fn, task):
+    """Pool-side adapter: run ``fn`` on the fork-inherited work."""
+    return fn(_WORK, task)
+
+
+@contextmanager
+def _executor(workers: int, work: dict):
+    """Yield ``(run, width)``: the executor of every fan-out here.
+
+    ``run(fn, tasks)`` returns ``fn(work, task)`` for each task, in
+    task order; ``width`` is how many tasks run at once.  With
+    ``workers > 1`` and ``fork`` available it is a fork pool
+    (``chunksize=1``) whose children inherit ``work`` through the
+    module global published before the fork.  Otherwise it is the
+    builtin ``map`` in this process with ``work`` bound directly — no
+    global, so in-process fan-outs on concurrent threads stay
+    independent — and a width of one.
+    """
+    global _WORK
+    ctx = _fork_context() if workers > 1 else None
+    if ctx is None:
+        yield (lambda fn, tasks: map(partial(fn, work), tasks)), 1
+        return
+    _WORK = work
+    try:
+        with ctx.Pool(processes=workers) as pool:
+            yield (
+                lambda fn, tasks: pool.map(
+                    partial(_call_published, fn), tasks, chunksize=1
+                )
+            ), workers
+    finally:
+        _WORK = {}
 
 
 def resolve_workers(workers: int | None, num_tasks: int) -> int:
@@ -236,17 +274,7 @@ def parallel_latency_vs_load(
     loads = list(loads) if loads is not None else default_loads()
     config = config or SimConfig()
     workers = resolve_workers(workers, len(loads) * replicas)
-    ctx = _fork_context()
-    if workers <= 1 or ctx is None or not loads:
-        return _serial_sweep(
-            topology, routing_factory, traffic, loads, config, replicas,
-            stop_after_saturation, sim_fn, telemetry=telemetry,
-        )
-
-    global _WORK
-    points: list[LoadPoint | None] = [None] * len(loads)
-    loads_per_wave = max(1, workers // replicas)
-    _WORK = dict(
+    work = dict(
         topology=topology,
         routing_factory=routing_factory,
         traffic=traffic,
@@ -254,32 +282,29 @@ def parallel_latency_vs_load(
         sim_fn=sim_fn,
         telemetry=telemetry,
     )
-    try:
-        with ctx.Pool(processes=workers) as pool:
-            done = 0
+    points: list[LoadPoint | None] = [None] * len(loads)
+    with _executor(workers, work) as (run_tasks, width):
+        loads_per_wave = max(1, width // replicas)
+        done = 0
+        run = 0
+        while done < len(loads) and run < stop_after_saturation:
+            wave = range(done, min(done + loads_per_wave, len(loads)))
+            tasks = [(i, rep, loads[i]) for i in wave for rep in range(replicas)]
+            _count_simulations(len(tasks))
+            by_point: dict[int, list[SimResult]] = {i: [] for i in wave}
+            for i, _rep, result in run_tasks(_simulate_task, tasks):
+                by_point[i].append(result)
+            for i in wave:
+                points[i] = _aggregate(loads[i], by_point[i])
+            done = wave[-1] + 1
+            # Re-evaluate the saturation cutoff over everything
+            # computed so far (pool waves may overshoot it; the marker
+            # pass below discards the overshoot).
             run = 0
-            while done < len(loads) and run < stop_after_saturation:
-                wave = range(done, min(done + loads_per_wave, len(loads)))
-                tasks = [
-                    (i, rep, loads[i]) for i in wave for rep in range(replicas)
-                ]
-                _count_simulations(len(tasks))
-                by_point: dict[int, list[SimResult]] = {i: [] for i in wave}
-                for i, _rep, result in pool.map(_simulate_task, tasks, chunksize=1):
-                    by_point[i].append(result)
-                for i in wave:
-                    points[i] = _aggregate(loads[i], by_point[i])
-                done = wave[-1] + 1
-                # Re-evaluate the saturation cutoff over everything
-                # computed so far (waves may overshoot it; the marker
-                # pass below discards the overshoot).
-                run = 0
-                for pt in points[:done]:
-                    run = run + 1 if pt.saturated else 0
-                    if run >= stop_after_saturation:
-                        break
-    finally:
-        _WORK = {}
+            for pt in points[:done]:
+                run = run + 1 if pt.saturated else 0
+                if run >= stop_after_saturation:
+                    break
     return _apply_short_circuit(points, loads, stop_after_saturation)
 
 
@@ -313,17 +338,16 @@ def _completion_fn(backend: str):
     return simulate_workload
 
 
-def _workload_task(index: int) -> tuple[int, WorkloadResult]:
-    """Run one closed-loop task inside a worker."""
-    task: CompletionTask = _WORK["tasks"][index]
-    result = _completion_fn(task.backend)(
+def _workload_task(work: dict, index: int) -> WorkloadResult:
+    """Run one closed-loop task of a fan-out's ``work``."""
+    task: CompletionTask = work["tasks"][index]
+    return _completion_fn(task.backend)(
         task.topology,
         task.routing_factory(),
         task.workload,
         task.config,
         task.max_cycles,
     )
-    return index, result
 
 
 def parallel_workload_completion(
@@ -349,57 +373,5 @@ def parallel_workload_completion(
         return []
     workers = resolve_workers(workers, len(tasks))
     _count_simulations(len(tasks))
-    ctx = _fork_context()
-    if workers <= 1 or ctx is None:
-        return [
-            _completion_fn(t.backend)(
-                t.topology, t.routing_factory(), t.workload, t.config, t.max_cycles
-            )
-            for t in tasks
-        ]
-    global _WORK
-    _WORK = dict(tasks=tasks)
-    results: list[WorkloadResult | None] = [None] * len(tasks)
-    try:
-        with ctx.Pool(processes=workers) as pool:
-            for index, result in pool.map(
-                _workload_task, range(len(tasks)), chunksize=1
-            ):
-                results[index] = result
-    finally:
-        _WORK = {}
-    return results  # type: ignore[return-value]
-
-
-def _serial_sweep(
-    topology, routing_factory, traffic, loads, config, replicas,
-    stop_after_saturation, sim_fn=simulate, telemetry=None,
-) -> list[LoadPoint]:
-    """In-process path: identical semantics, no pool."""
-    points: list[LoadPoint] = []
-    run = 0
-    last_accepted: float | None = None
-    for index, load in enumerate(loads):
-        if run >= stop_after_saturation:
-            points.append(
-                LoadPoint(
-                    load=load, latency=None, accepted=last_accepted, saturated=True
-                )
-            )
-            continue
-        results = []
-        for rep in range(replicas):
-            seed = replica_seed(config.seed, rep)
-            cfg = config if seed == config.seed else replace(config, seed=seed)
-            _count_simulations(1)
-            results.append(
-                sim_fn(
-                    topology, routing_factory(), traffic, load, cfg,
-                    telemetry=telemetry,
-                )
-            )
-        pt = _aggregate(load, results)
-        points.append(pt)
-        run = run + 1 if pt.saturated else 0
-        last_accepted = pt.accepted
-    return points
+    with _executor(workers, dict(tasks=tasks)) as (run_tasks, _width):
+        return list(run_tasks(_workload_task, range(len(tasks))))

@@ -3,8 +3,14 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import repro
 
 from repro.experiments.runner import main as cli_main
 from repro.scenarios import (
@@ -258,10 +264,107 @@ class TestResume:
         def bomb(*a, **k):  # any resolve() call fails the test
             raise AssertionError("no-op resume resolved a scenario")
 
-        monkeypatch.setattr("repro.scenarios.runner.resolve", bomb)
+        monkeypatch.setattr("repro.service.units.resolve", bomb)
         report = run_campaign(campaign, out=out, resume=True)
         assert report.simulated == 0 and report.skipped == 4
         assert out.read_bytes() == clean
+
+
+class TestUnitPath:
+    """Local campaigns run through the work-unit executor: rows and the
+    heartbeat stream follow campaign order, cached scenarios included,
+    and the finish events name the engine that actually ran."""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_resumed_event_order_is_campaign_order(self, tmp_path, workers):
+        campaign = Campaign(
+            "order",
+            [
+                open_scenario("o0"),
+                closed_scenario("c1"),
+                open_scenario("o2", seed=2),
+                closed_scenario("c3", kind="alltoall"),
+                closed_scenario("c4", seed=4),
+                open_scenario("o5", seed=5),
+            ],
+        )
+        clean = tmp_path / "clean.jsonl"
+        run_campaign(campaign, workers=workers, out=clean)
+        out = tmp_path / "rows.jsonl"
+        out.write_text(
+            "".join(
+                line + "\n"
+                for line in clean.read_text().splitlines()
+                if json.loads(line)["label"] in ("o2", "c4")
+            )
+        )
+        report = run_campaign(campaign, workers=workers, out=out, resume=True)
+        assert report.simulated == 4 and report.skipped == 2
+        assert out.read_bytes() == clean.read_bytes()
+        assert [(e["event"], e.get("index")) for e in report.events] == [
+            ("scenario_start", 0),
+            ("scenario_finish", 0),
+            ("batch_start", 1),
+            ("batch_finish", 1),
+            ("scenario_cached", 2),
+            ("scenario_cached", 4),
+            ("scenario_start", 5),
+            ("scenario_finish", 5),
+            ("campaign_finish", None),
+        ]
+
+    @pytest.mark.parametrize(
+        "module", ["repro.service.units", "repro.service.worker"]
+    )
+    def test_unit_modules_import_first_in_a_fresh_process(self, module):
+        """The runner imports units, and units imports repro.scenarios
+        (whose package imports the runner): a process that imports the
+        service side first must still load."""
+        src = str(Path(repro.__file__).resolve().parents[1])
+        subprocess.run(
+            [sys.executable, "-c", f"import {module}"],
+            check=True, timeout=120, env={**os.environ, "PYTHONPATH": src},
+        )
+
+    def test_finish_events_name_the_backend_that_ran(self, tmp_path):
+        """Large cycle scenarios execute on cycle-vec (>= 98 routers):
+        the heartbeat says so, while rows and meta keep the spec's
+        backend."""
+        cfg = SimConfig(warmup_cycles=10, measure_cycles=30, drain_cycles=200)
+
+        def sf(q, **kw):
+            return Scenario(
+                topology=TopologySpec("SF", params={"q": q}),
+                routing=RoutingSpec("min"),
+                sim=cfg,
+                label=f"q{q}-{'open' if 'traffic' in kw else 'closed'}",
+                **kw,
+            )
+
+        def sf_open(q):
+            return sf(q, traffic=TrafficSpec("uniform"), loads=[0.1])
+
+        def sf_closed(q):
+            return sf(
+                q, workload=WorkloadSpec("ring-allreduce", ranks=4, size_flits=1),
+                max_cycles=20_000,
+            )
+
+        out = tmp_path / "rows.jsonl"
+        report = run_campaign(
+            Campaign("engines", [sf_open(7), sf_open(5), sf_closed(7), sf_closed(5)]),
+            out=out,
+        )
+        finishes = {
+            e["index"]: e for e in report.events if e["event"] == "scenario_finish"
+        }
+        assert finishes[0]["backend"] == "cycle-vec"
+        assert finishes[1]["backend"] == "cycle"
+        (batch,) = [e for e in report.events if e["event"] == "batch_finish"]
+        assert batch["backends"] == ["cycle-vec", "cycle"]
+        assert {r["fidelity"] for r in report.rows} == {"cycle"}
+        meta = json.loads(out.with_name(out.name + ".meta.json").read_text())
+        assert "cycle-vec" not in json.dumps(meta)
 
 
 class TestHeartbeatRateGuards:
@@ -284,7 +387,7 @@ class TestHeartbeatRateGuards:
         assert "sims/s" in report.summary()
 
     def test_rate_helper_guards_zero_sims_and_zero_wall(self):
-        from repro.scenarios.runner import _sims_per_s
+        from repro.service.units import _sims_per_s
 
         assert _sims_per_s(0, 1.0) is None
         assert _sims_per_s(5, 0.0) is None

@@ -123,6 +123,16 @@ class TestValidation:
         with pytest.raises(ValueError, match="loads"):
             open_scenario(loads=[])
 
+    @pytest.mark.parametrize(
+        "bad", [float("nan"), float("inf"), 0.0, -0.2, 1.7]
+    )
+    def test_invalid_loads_rejected(self, bad):
+        with pytest.raises(ValueError, match="loads must be"):
+            open_scenario(loads=[0.1, bad])
+
+    def test_load_of_one_accepted(self):
+        assert open_scenario(loads=[1.0]).loads == [1.0]
+
     def test_closed_loop_rejects_loads(self):
         with pytest.raises(ValueError, match="no loads"):
             closed_scenario(loads=[0.5])

@@ -15,7 +15,8 @@ from repro.sim import (
     parallel_latency_vs_load,
     replica_seed,
 )
-from repro.sim.parallel import resolve_workers
+from repro.sim import parallel
+from repro.sim.parallel import resolve_workers, simulations_started
 from repro.traffic import UniformRandom
 
 CFG = SimConfig(warmup_cycles=100, measure_cycles=250, drain_cycles=1200, seed=5)
@@ -150,6 +151,41 @@ class TestSaturationShortCircuit:
             for pt in fills:
                 assert pt.saturated and pt.latency is None
                 assert pt.accepted == sweep[first_sat].accepted
+
+
+class TestForklessFallback:
+    def test_rows_and_sim_count_match_the_pool(
+        self, sf5, sf5_tables, uniform, monkeypatch
+    ):
+        """Without fork, workers > 1 runs the same wave loop in process,
+        one load per wave: same rows, and exactly the unmarked rows'
+        replicas get simulated."""
+        loads = [0.3, 0.55, 0.7, 0.85, 0.95]
+        kwargs = dict(
+            loads=loads, config=CFG, workers=2, replicas=2,
+            stop_after_saturation=2,
+        )
+
+        def sweep():
+            return parallel_latency_vs_load(
+                sf5, lambda: ValiantRouting(sf5_tables, seed=1), uniform,
+                **kwargs,
+            )
+
+        pooled = sweep()
+        monkeypatch.setattr(parallel, "_fork_context", lambda: None)
+        before = simulations_started()
+        fallback = sweep()
+        sims = simulations_started() - before
+        assert fallback == pooled
+        unmarked, run = 0, 0
+        for pt in fallback:
+            if run >= 2:
+                break
+            unmarked += 1
+            run = run + 1 if pt.saturated else 0
+        assert unmarked < len(loads), "expected a short-circuited tail"
+        assert sims == unmarked * 2
 
 
 class TestReplicas:
