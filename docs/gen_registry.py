@@ -204,6 +204,7 @@ def _topologies() -> list[str]:
 
 def _routing() -> list[str]:
     from repro.routing.registry import (
+        BUILDER_BOUND,
         ROUTING_BUILDERS,
         ROUTING_CLASSES,
         SEEDED,
@@ -226,7 +227,7 @@ def _routing() -> list[str]:
     ]
     for key in ROUTING_BUILDERS:
         cls = ROUTING_CLASSES[key]
-        ctor = _ctor_sig(cls, skip=("topology", "tables", "mode"))
+        ctor = _ctor_sig(cls, skip=BUILDER_BOUND)
         ctor = (
             ", ".join(f"`{_cell(p)}`" for p in ctor.split(", "))
             if ctor != "-"

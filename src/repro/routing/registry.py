@@ -15,6 +15,7 @@ topology spec).
 
 from __future__ import annotations
 
+import inspect
 from typing import Callable
 
 from repro.routing.base import RoutingAlgorithm
@@ -84,6 +85,9 @@ ROUTING_CLASSES: dict[str, type] = {
     "ft-anca": ANCARouting,
 }
 
+#: Constructor arguments the builders bind themselves: never spec params.
+BUILDER_BOUND = ("topology", "tables", "mode")
+
 #: Algorithms that route over all-pairs tables (the rest only need the
 #: topology object) — lets callers skip the table build entirely.
 TABLE_FREE = {"ft-anca"}
@@ -109,6 +113,24 @@ def routing_needs_tables(name: str) -> bool:
             f"unknown routing {name!r}; choose from {sorted(ROUTING_BUILDERS)}"
         )
     return name not in TABLE_FREE
+
+
+def validate_routing_params(name: str, params: dict) -> None:
+    """Reject params the algorithm's constructor does not take.
+
+    Lets the spec layer refuse a misspelt param at construction instead
+    of mid-campaign, when the first simulation builds the algorithm.
+    """
+    accepted = [
+        p
+        for p in inspect.signature(ROUTING_CLASSES[name].__init__).parameters
+        if p != "self" and p not in BUILDER_BOUND
+    ]
+    unknown = sorted(set(params) - set(accepted))
+    if unknown:
+        raise ValueError(
+            f"routing {name!r} takes no param(s) {unknown}; accepted: {accepted}"
+        )
 
 
 def make_routing(

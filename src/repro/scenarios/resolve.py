@@ -21,6 +21,8 @@ from repro.routing.registry import make_routing, routing_needs_tables
 from repro.routing.tables import RoutingTables
 from repro.scenarios.spec import FaultSpec, Scenario, TopologySpec, canonical_json
 from repro.sim.config import SimConfig
+from repro.sim.engine import DEFAULT_MAX_CYCLES
+from repro.sim.engine_vec import packed_keys_fit
 from repro.topologies.base import Topology
 from repro.topologies.registry import balanced_instance
 from repro.traffic.registry import make_pattern
@@ -104,8 +106,8 @@ class ResolvedScenario:
     """A scenario's live simulator inputs, ready for dispatch.
 
     ``backend`` names the engine fidelity the runner dispatches to
-    (validated against :mod:`repro.sim.backends` here, so an unknown
-    backend fails at resolution, not mid-campaign).  It may differ
+    (a :mod:`repro.sim.backends` registry name; :class:`Scenario`
+    rejects unknown backends at construction).  It may differ
     from the spec's backend: default-``cycle`` scenarios on large
     instances execute on ``cycle-vec`` (see :func:`_execution_backend`)
     while rows and hashes keep reporting the spec's fidelity.
@@ -147,20 +149,13 @@ _VEC_DEFAULT_ROUTERS = 98
 def _vec_feasible(scenario: Scenario, topology: Topology) -> bool:
     """Conservative screen for ``cycle-vec``'s packed int64 sort keys.
 
-    The batched engine packs (group, rank, seq) grant keys into one
-    int64 and refuses instances where the product overflows 2**62;
-    this mirrors that bound (over-estimating the VC count, which the
-    routing algorithm may raise) so the auto-default below never
-    upgrades a scenario into a constructor error.
+    Applies the engines' own bound
+    (:func:`~repro.sim.engine_vec.packed_keys_fit`), over-estimating
+    the VC count (which the routing algorithm may raise), so the
+    auto-default below never upgrades a scenario into a constructor
+    error.
     """
-    C = sum(len(nbrs) for nbrs in topology.adjacency)
-    n_ep = topology.num_endpoints
-    V = max(scenario.sim.num_vcs, 8)
-    max_eps = max((len(e) for e in topology.endpoints_of_router), default=1)
-    seq_span = C * V + 2 + max_eps
     if scenario.workload is not None:
-        from repro.sim.engine import DEFAULT_MAX_CYCLES
-
         limit = (
             DEFAULT_MAX_CYCLES
             if scenario.max_cycles is None
@@ -169,8 +164,7 @@ def _vec_feasible(scenario: Scenario, topology: Topology) -> bool:
     else:
         cfg = scenario.sim
         limit = cfg.warmup_cycles + cfg.measure_cycles + cfg.drain_cycles
-    rank_span = 2 * (limit + 2)
-    return (C + n_ep) * rank_span * seq_span < 2**62
+    return packed_keys_fit(topology, max(scenario.sim.num_vcs, 8), limit)
 
 
 def _execution_backend(scenario: Scenario, topology: Topology) -> str:
@@ -203,9 +197,6 @@ def resolve(scenario: Scenario) -> ResolvedScenario:
     degraded graph fell apart, resolution returns early with
     ``disconnected=True`` — a structured result, not a crash.
     """
-    from repro.sim.backends import get_backend
-
-    get_backend(scenario.backend)  # unknown backends fail loudly here
     fault = scenario.fault
     topology = resolve_topology(scenario.topology, fault)
     tspec = scenario.topology

@@ -21,7 +21,12 @@ import hashlib
 import json
 from dataclasses import asdict, dataclass, field
 
-from repro.routing.registry import FAULT_AWARE, ROUTING_BUILDERS, SEEDED
+from repro.routing.registry import (
+    FAULT_AWARE,
+    ROUTING_BUILDERS,
+    SEEDED,
+    validate_routing_params,
+)
 from repro.sim.backends import ENGINE_BACKENDS
 from repro.sim.config import SimConfig
 from repro.sim.telemetry import TelemetrySpec
@@ -92,7 +97,9 @@ class RoutingSpec:
     ``num_candidates``, ``max_hops``, ...).  Randomised algorithms
     (:data:`repro.routing.registry.SEEDED`) get ``seed=0`` filled in
     when omitted — a spec must pin every source of randomness, or the
-    runner's resume/byte-identity guarantee would silently not hold.
+    runner's resume/byte-identity guarantee would silently not hold —
+    and the others drop a ``seed``.  Any other param the algorithm's
+    constructor does not take is rejected here, not mid-campaign.
     """
 
     name: str
@@ -106,8 +113,14 @@ class RoutingSpec:
             )
         # Copy before filling: never mutate a caller-supplied dict.
         self.params = dict(self.params)
-        if self.name in SEEDED and self.params.get("seed") is None:
+        if self.name not in SEEDED:
+            # Normalised away like TrafficSpec's seed: an algorithm that
+            # draws no random numbers ignores it, so it must not split
+            # the hash space (nor reach its constructor).
+            self.params.pop("seed", None)
+        elif self.params.get("seed") is None:
             self.params["seed"] = 0
+        validate_routing_params(self.name, self.params)
 
     def to_dict(self) -> dict:
         return {"name": self.name, "params": dict(self.params)}
@@ -297,7 +310,8 @@ class Scenario:
 
     ``backend`` is the engine-fidelity axis
     (:data:`repro.sim.backends.ENGINE_BACKENDS`): ``"cycle"`` runs the
-    cycle-accurate engine, ``"flow"`` the flow-level fluid solver.
+    cycle-accurate engine, ``"cycle-vec"`` its bit-identical batched
+    numpy twin, ``"flow"`` the flow-level fluid solver.
     The default is omitted from the serialized form, so pre-backend
     JSON specs load unchanged and every existing scenario hash — the
     resume/dedup identity of published result files — is preserved.

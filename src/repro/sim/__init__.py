@@ -16,11 +16,16 @@ Modules
   the closed-loop (workload) variant :class:`ClosedLoopEngine`.
 - :mod:`repro.sim.stats` — results (latency, accepted throughput,
   workload completion).
-- :mod:`repro.sim.sweep` — latency-vs-offered-load curve helper.
-- :mod:`repro.sim.parallel` — multiprocessing orchestrators (load
-  sweeps and closed-loop workload points).
-- :mod:`repro.sim.backends` — the engine-backend registry (``cycle``
-  and ``flow`` fidelities behind one sweep/simulate contract).
+- :mod:`repro.sim.sweep` — latency-vs-offered-load curve helper (the
+  serial oracle).
+- :mod:`repro.sim.parallel` — multiprocessing orchestrators (the one
+  load walk every backend sweeps through, and closed-loop workload
+  points).
+- :mod:`repro.sim.backends` — the engine-backend registry (``cycle``,
+  ``cycle-vec`` and ``flow`` fidelities behind one simulate/sweep
+  contract).
+- :mod:`repro.sim.engine_vec` — the batched-numpy cycle engine
+  (``cycle-vec``).
 - :mod:`repro.sim.flowlevel` — the flow-level fluid solver (steady-
   state link rates; paper-scale sweeps).
 - :mod:`repro.sim.telemetry` — the opt-in probe plane (latency

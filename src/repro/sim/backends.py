@@ -1,9 +1,9 @@
 """Engine-backend registry: one simulation contract, several fidelities.
 
-Layer 2 used to *be* the cycle engine; it is now an interface with
-three implementations selected by name (the ``backend`` axis of a
+The only place a backend name (the ``backend`` axis of a
 :class:`~repro.scenarios.spec.Scenario`, the ``backend=`` argument of
-:func:`repro.sim.parallel.parallel_latency_vs_load`):
+:func:`repro.sim.parallel.parallel_latency_vs_load`) maps to engine
+code.  Three implementations:
 
 - ``cycle`` — the cycle-accurate flit-level engine
   (:mod:`repro.sim.engine`): bit-exact against the frozen seed
@@ -23,12 +23,16 @@ three implementations selected by name (the ``backend`` axis of a
   byte-identical across worker counts (it consumes no RNG and runs
   in-process).
 
-Every backend answers the same two questions — one load point
-(:meth:`EngineBackend.simulate` -> :class:`~repro.sim.stats.SimResult`)
-and one load sweep (:meth:`EngineBackend.sweep` ->
-:class:`~repro.sim.stats.LoadPoint` rows) — so campaigns can grid over
-fidelities and the analysis layer can overlay their curves.  Rows carry
-the backend under the ``fidelity`` key.
+Every backend answers the same questions — one load point
+(:meth:`EngineBackend.simulate` -> :class:`~repro.sim.stats.SimResult`),
+one load sweep (:meth:`EngineBackend.sweep` ->
+:class:`~repro.sim.stats.LoadPoint` rows, walked by the one wave loop
+:func:`repro.sim.parallel.sweep_loads`) and, where supported, one
+closed-loop run (:meth:`EngineBackend.simulate_workload`) — so
+campaigns can grid over fidelities and the analysis layer can overlay
+their curves.  Rows carry the backend under the ``fidelity`` key.
+Engine functions are looked up when called, so rebinding e.g.
+``repro.sim.engine.simulate`` reaches every dispatch.
 
 The determinism contracts are deliberately different and all load-
 bearing (see DESIGN.md, "Layer 2 — backends"): ``cycle`` must stay bit
@@ -45,7 +49,7 @@ from abc import ABC, abstractmethod
 from typing import Callable, Sequence
 
 from repro.sim.config import SimConfig
-from repro.sim.stats import LoadPoint, SimResult
+from repro.sim.stats import LoadPoint, SimResult, WorkloadResult
 from repro.sim.telemetry import TelemetrySpec
 
 
@@ -87,7 +91,20 @@ class EngineBackend(ABC):
         build.
         """
 
-    @abstractmethod
+    def simulate_workload(
+        self,
+        topology,
+        routing,
+        workload,
+        config: SimConfig | None = None,
+        max_cycles: int | None = None,
+    ) -> WorkloadResult:
+        """Run one closed-loop workload to completion (or the cycle cap)."""
+        raise ValueError(
+            f"backend {self.name!r} cannot run closed-loop workloads "
+            f"({_capability_summary()})"
+        )
+
     def sweep(
         self,
         topology,
@@ -102,49 +119,26 @@ class EngineBackend(ABC):
     ) -> list[LoadPoint]:
         """Latency-vs-load curve with the shared sweep semantics.
 
-        All backends honour the same row contract: ascending loads,
-        saturation short-circuit fill rows, and worker-count
-        independent results.
+        Runs :func:`~repro.sim.parallel.sweep_loads` with
+        :meth:`simulate` as the per-point solver and a fresh routing
+        instance for each (load, replica), so stateful RNG streams
+        never cross points.  Rows: ascending loads, saturation
+        short-circuit fill rows, and worker-count independent results.
         """
+        from repro.sim.parallel import sweep_loads
 
+        def solve(load, point_config):
+            return self.simulate(
+                topology, routing_factory(), traffic, load, point_config,
+                telemetry=telemetry,
+            )
 
-class _CycleFamily(EngineBackend):
-    """The cycle-accurate engines' shared sweep.
-
-    Both consume per-replica RNG streams, so both sweep through the
-    wave loop of :func:`~repro.sim.parallel.parallel_latency_vs_load`
-    under their own registry name.
-    """
-
-    def sweep(
-        self,
-        topology,
-        routing_factory,
-        traffic,
-        loads,
-        config=None,
-        workers=1,
-        replicas=1,
-        stop_after_saturation=1,
-        telemetry=None,
-    ):
-        from repro.sim.parallel import parallel_latency_vs_load
-
-        return parallel_latency_vs_load(
-            topology,
-            routing_factory,
-            traffic,
-            loads=loads,
-            config=config,
-            workers=workers,
-            replicas=replicas,
-            stop_after_saturation=stop_after_saturation,
-            backend=self.name,
-            telemetry=telemetry,
+        return sweep_loads(
+            solve, loads, config, workers, replicas, stop_after_saturation
         )
 
 
-class CycleBackend(_CycleFamily):
+class CycleBackend(EngineBackend):
     """The cycle-accurate flit-level engine (DESIGN.md Layers 1-2)."""
 
     name = "cycle"
@@ -166,8 +160,15 @@ class CycleBackend(_CycleFamily):
             telemetry=telemetry,
         )
 
+    def simulate_workload(
+        self, topology, routing, workload, config=None, max_cycles=None
+    ):
+        from repro.sim.engine import simulate_workload
 
-class CycleVecBackend(_CycleFamily):
+        return simulate_workload(topology, routing, workload, config, max_cycles)
+
+
+class CycleVecBackend(EngineBackend):
     """The batched-numpy cycle engine (:mod:`repro.sim.engine_vec`).
 
     Same flit-level semantics as ``cycle``, executed as vectorised
@@ -193,6 +194,15 @@ class CycleVecBackend(_CycleFamily):
         return vec_simulate(
             topology, routing, traffic, offered_load, config,
             telemetry=telemetry,
+        )
+
+    def simulate_workload(
+        self, topology, routing, workload, config=None, max_cycles=None
+    ):
+        from repro.sim.engine_vec import vec_simulate_workload
+
+        return vec_simulate_workload(
+            topology, routing, workload, config, max_cycles
         )
 
 
@@ -238,20 +248,12 @@ class FlowBackend(EngineBackend):
         stop_after_saturation=1,
         telemetry=None,
     ):
-        from repro.sim.flowlevel import flow_sweep
+        """Build the :class:`~repro.sim.flowlevel.FlowModel` once and
+        walk the loads in process (one replica: nothing is random)."""
+        from repro.sim.flowlevel import FlowModel
 
-        # Solved points are counted inside FlowModel.sweep (one per
-        # non-short-circuited load), matching the cycle counter's
-        # scheduled == executed semantics.
-        return flow_sweep(
-            topology,
-            routing_factory,
-            traffic,
-            loads,
-            config=config,
-            stop_after_saturation=stop_after_saturation,
-            telemetry=telemetry,
-        )
+        model = FlowModel(topology, routing_factory(), traffic)
+        return model.sweep(loads, config, stop_after_saturation, telemetry)
 
 
 #: name -> backend singleton (backends are stateless dispatchers).

@@ -46,6 +46,22 @@ class SimConfig:
     #: RNG seed for injection and adaptive tie-breaks.
     seed: int = 1
 
+    def __post_init__(self):
+        # An out-of-range knob would still hash, and would run into an
+        # empty row or an engine crash instead of failing here.
+        for name in (
+            "credit_delay", "channel_latency", "sa_delay", "vc_delay",
+            "crossbar_delay", "warmup_cycles", "drain_cycles",
+        ):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
+        for name in (
+            "measure_cycles", "num_vcs", "packet_length", "buffer_per_port",
+            "speedup",
+        ):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+
     @property
     def hop_latency(self) -> int:
         """Zero-load cycles per hop: channel + SA + VC + crossbar."""

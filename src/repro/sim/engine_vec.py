@@ -78,6 +78,24 @@ from repro.util.rng import make_rng
 _PATH_SLOTS = 8
 
 
+def _key_spans(topology: Topology, num_vcs: int, cycle_limit: int):
+    """``(groups, rank span, seq span)`` of the packed grant keys."""
+    channels = sum(len(nbrs) for nbrs in topology.adjacency)
+    max_eps = max((len(eps) for eps in topology.endpoints_of_router), default=1)
+    return (
+        channels + topology.num_endpoints,
+        2 * (cycle_limit + 2),
+        channels * num_vcs + 2 + max_eps,
+    )
+
+
+def packed_keys_fit(topology: Topology, num_vcs: int, cycle_limit: int) -> bool:
+    """Whether a run's (group, rank, seq) grant keys fit one int64
+    (enforced by both engine constructors, screened at resolve time)."""
+    groups, rank_span, seq_span = _key_spans(topology, num_vcs, cycle_limit)
+    return groups * rank_span * seq_span < 2**62
+
+
 class _QueueView:
     """The ``queue_length`` view adaptive planners (UGAL) read.
 
@@ -268,14 +286,10 @@ class VecEngine:
         # == ((grp * RANK_SPAN) + rank) * SEQ_SPAN + seq with the flat
         # engine's rank = inject_time << 1 | is_injection.
         deadline = cfg.warmup_cycles + cfg.measure_cycles + cfg.drain_cycles
-        seq_span = NB + 2 + max(
-            (len(eps) for eps in topology.endpoints_of_router), default=1
-        )
-        rank_span = 2 * (deadline + 2)
-        n_groups = C + n_ep
-        self._n_groups = n_groups
-        if n_groups * rank_span * seq_span >= 2**62:
+        if not packed_keys_fit(topology, V, deadline):
             raise ValueError("simulation too large for packed int64 sort keys")
+        n_groups, rank_span, seq_span = _key_spans(topology, V, deadline)
+        self._n_groups = n_groups
         self._k_grp = rank_span * seq_span
         self._k_inj = 2 * seq_span
         #: Buffered / injection seq term with the injection bit folded in.
@@ -1215,10 +1229,9 @@ class VecClosedLoopEngine(VecEngine):
         self._limit = limit
         # Re-span the packed sort keys: inject times now run to the
         # closed-loop cycle cap instead of the open-loop deadline.
-        seq_span = self._k_inj // 2
-        rank_span = 2 * (limit + 2)
-        if self._n_groups * rank_span * seq_span >= 2**62:
+        if not packed_keys_fit(topology, self.num_vcs, limit):
             raise ValueError("simulation too large for packed int64 sort keys")
+        _, rank_span, seq_span = _key_spans(topology, self.num_vcs, limit)
         self._k_grp = rank_span * seq_span
 
         if hasattr(workload, "messages"):

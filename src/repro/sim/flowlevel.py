@@ -69,6 +69,7 @@ from repro.routing.tables import RoutingTables
 from repro.routing.ugal import UGALRouting
 from repro.routing.valiant import ValiantRouting
 from repro.sim.config import SimConfig
+from repro.sim.parallel import sweep_loads
 from repro.sim.stats import LoadPoint, SimResult
 from repro.sim.telemetry import TelemetryResult, TelemetrySpec
 from repro.traffic.patterns import FixedPermutation, UniformRandom
@@ -688,46 +689,21 @@ class FlowModel:
     ) -> list[LoadPoint]:
         """Ascending-load walk with the cycle sweep's fill semantics.
 
-        Points past ``stop_after_saturation`` consecutive saturated
-        loads are marked (latency ``None``, last measured accepted) —
-        byte-compatible with :func:`repro.sim.sweep.latency_vs_load`
-        rows, so cycle and flow curves overlay in the same figures.
+        Runs the shared wave loop (:func:`repro.sim.parallel.sweep_loads`)
+        in process with one replica: points past
+        ``stop_after_saturation`` consecutive saturated loads are marked
+        (latency ``None``, last measured accepted) — byte-compatible
+        with :func:`repro.sim.sweep.latency_vs_load` rows, so cycle and
+        flow curves overlay in the same figures.
         """
-        # Lazy import: parallel's counter is shared across backends,
-        # and parallel itself only imports this module on demand.
-        from repro.sim.parallel import _count_simulations
-
-        points: list[LoadPoint] = []
-        run = 0
-        last_accepted: float | None = None
-        for load in loads:
-            if run >= stop_after_saturation:
-                points.append(
-                    LoadPoint(
-                        load=load, latency=None, accepted=last_accepted,
-                        saturated=True,
-                    )
-                )
-                continue
-            _count_simulations(1)
-            result = self.simulate(load, config, telemetry)
-            latency = (
-                None
-                if result.saturated and result.delivered == 0
-                else result.avg_latency
-            )
-            points.append(
-                LoadPoint(
-                    load=load,
-                    latency=latency,
-                    accepted=result.accepted_load,
-                    saturated=result.saturated,
-                    telemetry=result.telemetry,
-                )
-            )
-            run = run + 1 if result.saturated else 0
-            last_accepted = result.accepted_load
-        return points
+        return sweep_loads(
+            lambda load, point_config: self.simulate(
+                load, point_config, telemetry
+            ),
+            loads,
+            config,
+            stop_after_saturation=stop_after_saturation,
+        )
 
     def saturation_load(
         self, loads, config: SimConfig | None = None

@@ -1,8 +1,9 @@
 """Parallel sweep orchestrator (DESIGN.md, Layer 3).
 
-Fans the (offered load × seed replica) grid of a latency-vs-load
-experiment across ``multiprocessing`` workers and returns the same
-:class:`~repro.sim.stats.LoadPoint` rows the serial
+Owns the one load walk every backend sweeps through
+(:func:`sweep_loads`): it fans the (offered load × seed replica) grid
+of a latency-vs-load experiment across ``multiprocessing`` workers and
+returns the same :class:`~repro.sim.stats.LoadPoint` rows the serial
 :func:`~repro.sim.sweep.latency_vs_load` produces:
 
 - **Determinism** — each (point, replica) derives its RNG seed from
@@ -20,13 +21,13 @@ experiment across ``multiprocessing`` workers and returns the same
   (``workers`` wide) or, with ``workers <= 1`` or no ``fork`` start
   method, through the builtin ``map`` in this process, one load per
   wave (so the in-process path never overshoots the cutoff).
-- **Worker transport** — tasks carry only ``(point, replica, load)``
-  tuples; the topology, routing factory (often an unpicklable
-  closure), traffic pattern and config are published in a module
-  global *before* the pool forks, so children inherit them by
-  copy-on-write.  This requires the ``fork`` start method; platforms
-  without it (Windows, macOS spawn default) transparently run
-  in process instead.
+- **Worker transport** — tasks carry only ``(load, replica)``
+  tuples; the task function (a closure over the topology, routing
+  factory, traffic pattern, config and backend, never pickled) is
+  published in a module global *before* the pool forks, so children
+  inherit it by copy-on-write.  This requires the ``fork`` start
+  method; platforms without it (Windows, macOS spawn default)
+  transparently run in process instead.
 
 With ``replicas > 1`` each load point is simulated under several
 derived seeds and the row reports the replica mean (latency averaged
@@ -41,19 +42,18 @@ import os
 import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
-from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
 
+from repro.sim.backends import get_backend
 from repro.sim.config import SimConfig
-from repro.sim.engine import simulate, simulate_workload
 from repro.sim.stats import LoadPoint, SimResult, WorkloadResult
 from repro.sim.sweep import default_loads
 from repro.sim.telemetry import TelemetrySpec, merge_telemetry
 
-#: Simulation inputs published to forked workers (set per pool).
-_WORK: dict = {}
+#: The task function published to forked workers (set per pool).
+_WORK: Callable | None = None
 
 #: Simulations scheduled by this process (serial runs and tasks handed
 #: to a pool alike) since import.  Scheduled == executed — waves only
@@ -100,22 +100,6 @@ def replica_seed(base_seed: int, replica: int) -> int:
     return int(ss.generate_state(1, dtype=np.uint64)[0])
 
 
-def _simulate_task(
-    work: dict, task: tuple[int, int, float]
-) -> tuple[int, int, SimResult]:
-    """Run one (point, replica) simulation of a sweep's ``work``."""
-    index, replica, load = task
-    config: SimConfig = work["config"]
-    seed = replica_seed(config.seed, replica)
-    if seed != config.seed:
-        config = replace(config, seed=seed)
-    result = work["sim_fn"](
-        work["topology"], work["routing_factory"](), work["traffic"], load,
-        config, telemetry=work["telemetry"],
-    )
-    return index, replica, result
-
-
 def _aggregate(load: float, results: Sequence[SimResult]) -> LoadPoint:
     """Collapse one point's replica results into a LoadPoint row."""
     if len(results) == 1:
@@ -143,31 +127,21 @@ def _aggregate(load: float, results: Sequence[SimResult]) -> LoadPoint:
     )
 
 
-def _apply_short_circuit(
-    points: list[LoadPoint | None], loads: Sequence[float], stop_after_saturation: int
-) -> list[LoadPoint]:
-    """Replace rows past the saturation cutoff with marked points.
+def _cutoff(
+    points: Sequence[LoadPoint | None], stop_after_saturation: int
+) -> int | None:
+    """Index of the walk's first fill row, or None if it has not stopped.
 
-    Replicates the serial sweep's walk: a point is *marked* (not
-    simulated) once ``stop_after_saturation`` consecutive earlier
-    points saturated, and marked rows carry the last measured
-    accepted throughput (identical to the serial fill).
+    The serial walk stops simulating once ``stop_after_saturation``
+    consecutive points saturated; points past that index are never
+    read, so unsolved (``None``) entries may follow it.
     """
-    out: list[LoadPoint] = []
     run = 0
-    last_accepted: float | None = None
-    for load, pt in zip(loads, points):
-        if run >= stop_after_saturation or pt is None:
-            out.append(
-                LoadPoint(
-                    load=load, latency=None, accepted=last_accepted, saturated=True
-                )
-            )
-            continue
-        out.append(pt)
+    for i, pt in enumerate(points):
+        if run >= stop_after_saturation:
+            return i
         run = run + 1 if pt.saturated else 0
-        last_accepted = pt.accepted
-    return out
+    return len(points) if run >= stop_after_saturation else None
 
 
 def _fork_context():
@@ -184,39 +158,37 @@ def _fork_context():
     return None
 
 
-def _call_published(fn, task):
-    """Pool-side adapter: run ``fn`` on the fork-inherited work."""
-    return fn(_WORK, task)
+def _call_published(task):
+    """Pool-side adapter: run the fork-inherited task function."""
+    return _WORK(task)
 
 
 @contextmanager
-def _executor(workers: int, work: dict):
+def _executor(workers: int, fn: Callable):
     """Yield ``(run, width)``: the executor of every fan-out here.
 
-    ``run(fn, tasks)`` returns ``fn(work, task)`` for each task, in
-    task order; ``width`` is how many tasks run at once.  With
-    ``workers > 1`` and ``fork`` available it is a fork pool
-    (``chunksize=1``) whose children inherit ``work`` through the
-    module global published before the fork.  Otherwise it is the
-    builtin ``map`` in this process with ``work`` bound directly — no
-    global, so in-process fan-outs on concurrent threads stay
-    independent — and a width of one.
+    ``run(tasks)`` returns ``fn(task)`` for each task, in task order;
+    ``width`` is how many tasks run at once.  With ``workers > 1`` and
+    ``fork`` available it is a fork pool (``chunksize=1``) whose
+    children inherit ``fn`` (a closure, never pickled) through the
+    module global published before the fork; tasks must pickle.
+    Otherwise it is the builtin ``map`` in this process with ``fn``
+    bound directly — no global, so in-process fan-outs on concurrent
+    threads stay independent — and a width of one.
     """
     global _WORK
     ctx = _fork_context() if workers > 1 else None
     if ctx is None:
-        yield (lambda fn, tasks: map(partial(fn, work), tasks)), 1
+        yield (lambda tasks: map(fn, tasks)), 1
         return
-    _WORK = work
+    _WORK = fn
     try:
         with ctx.Pool(processes=workers) as pool:
             yield (
-                lambda fn, tasks: pool.map(
-                    partial(_call_published, fn), tasks, chunksize=1
-                )
+                lambda tasks: pool.map(_call_published, tasks, chunksize=1)
             ), workers
     finally:
-        _WORK = {}
+        _WORK = None
 
 
 def resolve_workers(workers: int | None, num_tasks: int) -> int:
@@ -224,6 +196,60 @@ def resolve_workers(workers: int | None, num_tasks: int) -> int:
     if not workers or workers <= 0:
         workers = os.cpu_count() or 1
     return max(1, min(workers, num_tasks))
+
+
+def sweep_loads(
+    solve: Callable[[float, SimConfig], SimResult],
+    loads: Sequence[float],
+    config: SimConfig | None = None,
+    workers: int | None = 1,
+    replicas: int = 1,
+    stop_after_saturation: int = 1,
+) -> list[LoadPoint]:
+    """The load walk behind every backend's :meth:`sweep`.
+
+    ``solve(load, config)`` answers one (load, replica) point, the
+    config carrying the replica's seed.  Loads run in ascending waves
+    on :func:`_executor` until the saturation cutoff; rows past it
+    (pool waves may overshoot) become fill rows carrying the last kept
+    point's accepted load, exactly as in the serial walk.
+    """
+    loads = list(loads)
+    config = config or SimConfig()
+    workers = resolve_workers(workers, len(loads) * replicas)
+
+    def solve_replica(task: tuple[float, int]) -> SimResult:
+        load, replica = task
+        seed = replica_seed(config.seed, replica)
+        if seed == config.seed:
+            return solve(load, config)
+        return solve(load, replace(config, seed=seed))
+
+    points: list[LoadPoint | None] = [None] * len(loads)
+    with _executor(workers, solve_replica) as (run_tasks, width):
+        loads_per_wave = max(1, width // replicas)
+        done = 0
+        while (
+            done < len(loads)
+            and _cutoff(points[:done], stop_after_saturation) is None
+        ):
+            wave = range(done, min(done + loads_per_wave, len(loads)))
+            tasks = [(loads[i], rep) for i in wave for rep in range(replicas)]
+            _count_simulations(len(tasks))
+            results = list(run_tasks(tasks))
+            for k, i in enumerate(wave):
+                points[i] = _aggregate(
+                    loads[i], results[k * replicas : (k + 1) * replicas]
+                )
+            done = wave[-1] + 1
+    cut = _cutoff(points, stop_after_saturation)
+    if cut is None:
+        cut = len(loads)
+    accepted = points[cut - 1].accepted if cut else None
+    return points[:cut] + [
+        LoadPoint(load=load, latency=None, accepted=accepted, saturated=True)
+        for load in loads[cut:]
+    ]
 
 
 def parallel_latency_vs_load(
@@ -243,69 +269,23 @@ def parallel_latency_vs_load(
     Drop-in replacement for :func:`repro.sim.sweep.latency_vs_load`
     (identical rows for ``replicas=1``, any ``workers``), plus seed
     replication.  ``workers=None`` or ``0`` auto-sizes to the CPU
-    count; ``workers=1`` runs in-process.
-
-    ``backend`` selects the engine fidelity through the
-    :mod:`repro.sim.backends` registry; the fork pool below drives the
-    cycle-accurate engines (``"cycle"``, ``"cycle-vec"`` — both consume
-    per-replica RNG streams), while other backends (``"flow"``) solve
-    the sweep through their own dispatcher.
+    count; ``workers=1`` runs in-process.  ``backend`` names the
+    engine fidelity in the :mod:`repro.sim.backends` registry, whose
+    :meth:`~repro.sim.backends.EngineBackend.sweep` runs the curve.
     """
     if replicas < 1:
         raise ValueError("replicas must be >= 1")
-    if backend not in ("cycle", "cycle-vec"):
-        from repro.sim.backends import get_backend
-
-        return get_backend(backend).sweep(
-            topology,
-            routing_factory,
-            traffic,
-            loads if loads is not None else default_loads(),
-            config=config,
-            workers=workers,
-            replicas=replicas,
-            stop_after_saturation=stop_after_saturation,
-            telemetry=telemetry,
-        )
-    if backend == "cycle-vec":
-        from repro.sim.engine_vec import vec_simulate as sim_fn
-    else:
-        sim_fn = simulate
-    loads = list(loads) if loads is not None else default_loads()
-    config = config or SimConfig()
-    workers = resolve_workers(workers, len(loads) * replicas)
-    work = dict(
-        topology=topology,
-        routing_factory=routing_factory,
-        traffic=traffic,
+    return get_backend(backend).sweep(
+        topology,
+        routing_factory,
+        traffic,
+        loads if loads is not None else default_loads(),
         config=config,
-        sim_fn=sim_fn,
+        workers=workers,
+        replicas=replicas,
+        stop_after_saturation=stop_after_saturation,
         telemetry=telemetry,
     )
-    points: list[LoadPoint | None] = [None] * len(loads)
-    with _executor(workers, work) as (run_tasks, width):
-        loads_per_wave = max(1, width // replicas)
-        done = 0
-        run = 0
-        while done < len(loads) and run < stop_after_saturation:
-            wave = range(done, min(done + loads_per_wave, len(loads)))
-            tasks = [(i, rep, loads[i]) for i in wave for rep in range(replicas)]
-            _count_simulations(len(tasks))
-            by_point: dict[int, list[SimResult]] = {i: [] for i in wave}
-            for i, _rep, result in run_tasks(_simulate_task, tasks):
-                by_point[i].append(result)
-            for i in wave:
-                points[i] = _aggregate(loads[i], by_point[i])
-            done = wave[-1] + 1
-            # Re-evaluate the saturation cutoff over everything
-            # computed so far (pool waves may overshoot it; the marker
-            # pass below discards the overshoot).
-            run = 0
-            for pt in points[:done]:
-                run = run + 1 if pt.saturated else 0
-                if run >= stop_after_saturation:
-                    break
-    return _apply_short_circuit(points, loads, stop_after_saturation)
 
 
 @dataclass
@@ -323,31 +303,11 @@ class CompletionTask:
     config: SimConfig = field(default_factory=SimConfig)
     max_cycles: int | None = None
     label: str = ""
-    #: Engine fidelity: ``"cycle"`` (flat) or ``"cycle-vec"`` (batched
-    #: numpy) — bit-identical rows either way, per the differential
-    #: suite, so dispatch is a pure speed choice.
+    #: Engine fidelity, a closed-loop capable name in the
+    #: :mod:`repro.sim.backends` registry.  Those backends produce
+    #: bit-identical rows (the differential suite), so the choice
+    #: changes only speed.
     backend: str = "cycle"
-
-
-def _completion_fn(backend: str):
-    """Closed-loop simulate function for a task's engine fidelity."""
-    if backend == "cycle-vec":
-        from repro.sim.engine_vec import vec_simulate_workload
-
-        return vec_simulate_workload
-    return simulate_workload
-
-
-def _workload_task(work: dict, index: int) -> WorkloadResult:
-    """Run one closed-loop task of a fan-out's ``work``."""
-    task: CompletionTask = work["tasks"][index]
-    return _completion_fn(task.backend)(
-        task.topology,
-        task.routing_factory(),
-        task.workload,
-        task.config,
-        task.max_cycles,
-    )
 
 
 def parallel_workload_completion(
@@ -364,14 +324,22 @@ def parallel_workload_completion(
     Transport follows the sweep runner: tasks are published to the
     fork-inherited module global and workers receive only indices, so
     topologies/closures never pickle.  Each task names its engine
-    fidelity (:attr:`CompletionTask.backend`); ``cycle`` and
-    ``cycle-vec`` produce bit-identical rows, so mixing fidelities in
-    one fan-out changes nothing but speed.
+    fidelity (:attr:`CompletionTask.backend`); the closed-loop capable
+    backends produce bit-identical rows, so mixing them in one fan-out
+    changes nothing but speed.
     """
     tasks = list(tasks)
     if not tasks:
         return []
     workers = resolve_workers(workers, len(tasks))
     _count_simulations(len(tasks))
-    with _executor(workers, dict(tasks=tasks)) as (run_tasks, _width):
-        return list(run_tasks(_workload_task, range(len(tasks))))
+
+    def run_task(index: int) -> WorkloadResult:
+        task = tasks[index]
+        return get_backend(task.backend).simulate_workload(
+            task.topology, task.routing_factory(), task.workload, task.config,
+            task.max_cycles,
+        )
+
+    with _executor(workers, run_task) as (run_tasks, _width):
+        return list(run_tasks(range(len(tasks))))

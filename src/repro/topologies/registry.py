@@ -13,8 +13,10 @@ operation behind Fig 1, Fig 5c, Table III, and the cost sweeps.
 
 from __future__ import annotations
 
+import inspect
 from typing import Callable
 
+from repro.core.mms import MMSParams
 from repro.topologies.base import Topology
 from repro.topologies.dragonfly import Dragonfly
 from repro.topologies.fattree import FatTree3
@@ -131,6 +133,18 @@ def validate_shape_params(name: str, target_endpoints: int | None, params: dict)
         )
     if name == "SF" and "concentration" in params and "q" not in params:
         raise ValueError("SF concentration override requires an explicit q")
+    accepted = [
+        p
+        for p in inspect.signature(TOPOLOGY_BUILDERS[name]).parameters
+        if p not in ("target", "seed")
+    ]
+    unknown = sorted(set(params) - set(accepted))
+    if unknown:
+        raise ValueError(
+            f"topology {name!r} takes no param(s) {unknown}; accepted: {accepted}"
+        )
+    if name == "SF" and "q" in params:
+        MMSParams.from_q(params["q"])  # raises for a q with no MMS graph
 
 
 def balanced_instance(

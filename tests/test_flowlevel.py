@@ -12,7 +12,7 @@ from repro.routing.fattree_routing import ANCARouting
 from repro.routing.ugal import UGALRouting
 from repro.routing.valiant import ValiantRouting
 from repro.scenarios.spec import canonical_json
-from repro.sim import SimConfig
+from repro.sim import LoadPoint, SimConfig, simulate_workload, vec_simulate_workload
 from repro.sim.backends import (
     BACKEND_KINDS,
     ENGINE_BACKENDS,
@@ -31,6 +31,7 @@ from repro.traffic import UniformRandom
 from repro.traffic.adversarial import worst_case_for
 from repro.traffic.permutations import BitReversalPattern, ShiftPattern
 from repro.traffic.patterns import FixedPermutation
+from repro.workloads.registry import make_placed_workload
 
 CFG = SimConfig(warmup_cycles=50, measure_cycles=100, drain_cycles=400)
 
@@ -315,3 +316,81 @@ class TestBackendRegistry:
                 loads=[0.2],
                 backend="warp",
             )
+
+    @pytest.mark.parametrize(
+        "name, direct",
+        [("cycle", simulate_workload), ("cycle-vec", vec_simulate_workload)],
+    )
+    def test_closed_loop_dispatch_matches_direct_engine(
+        self, sf, tables, name, direct
+    ):
+        wl = make_placed_workload(
+            "halo2d", sf, 16, size_flits=4, iterations=1, placement="spread"
+        )
+        cfg = SimConfig(seed=11)
+        expected = direct(sf, MinimalRouting(tables), wl, cfg)
+        via = get_backend(name).simulate_workload(
+            sf, MinimalRouting(tables), wl, cfg
+        )
+        assert via.message_completions == expected.message_completions
+        assert via == expected
+
+    def test_flow_backend_refuses_closed_loop(self, sf, tables):
+        wl = make_placed_workload("halo2d", sf, 16, size_flits=4, iterations=1)
+        with pytest.raises(ValueError, match="cannot run closed-loop"):
+            get_backend("flow").simulate_workload(sf, MinimalRouting(tables), wl)
+
+
+def _serial_flow_rows(model, loads, stop_after_saturation):
+    """Rows of the serial walk, from one FlowModel.simulate per load.
+
+    Returns ``(rows, filled)``: fill rows carry the last solved
+    accepted load once ``stop_after_saturation`` consecutive solved
+    points saturated; ``filled`` counts them.
+    """
+    rows, run, last, filled = [], 0, None, 0
+    for load in loads:
+        if run >= stop_after_saturation:
+            rows.append(
+                LoadPoint(load=load, latency=None, accepted=last, saturated=True)
+            )
+            filled += 1
+            continue
+        r = model.simulate(load, CFG)
+        latency = None if r.saturated and r.delivered == 0 else r.avg_latency
+        rows.append(
+            LoadPoint(
+                load=load, latency=latency, accepted=r.accepted_load,
+                saturated=r.saturated,
+            )
+        )
+        run = run + 1 if r.saturated else 0
+        last = r.accepted_load
+    return rows, filled
+
+
+class TestFlowSweepOracle:
+    """The flow sweep against an inline serial walk: the oracle for
+    the shared wave loop's cutoff and fill rows on the flow backend."""
+
+    LOADS = [0.05, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9]
+
+    @pytest.mark.parametrize("stop", [1, 2])
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_worst_case_min_matches_serial_walk(self, sf, tables, stop, workers):
+        wc = worst_case_for(sf, tables=tables, seed=0)
+        expected, filled = _serial_flow_rows(
+            FlowModel(sf, MinimalRouting(tables), wc), self.LOADS, stop
+        )
+        assert filled > 0, "the schedule must reach the fill rows"
+        assert any(not p.saturated for p in expected)
+        rows = parallel_latency_vs_load(
+            sf, lambda: MinimalRouting(tables), wc, loads=self.LOADS,
+            config=CFG, workers=workers, stop_after_saturation=stop,
+            backend="flow",
+        )
+        assert rows == expected
+        assert flow_sweep(
+            sf, lambda: MinimalRouting(tables), wc, self.LOADS, CFG,
+            stop_after_saturation=stop,
+        ) == expected

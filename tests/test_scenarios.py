@@ -160,6 +160,61 @@ class TestValidation:
         with pytest.raises(ValueError, match="explicit q"):
             TopologySpec("SF", target_endpoints=722, params={"concentration": 3})
 
+    @pytest.mark.parametrize(
+        "build, match",
+        [
+            (lambda: RoutingSpec("val", {"sed": 1}), r"takes no param\(s\) \['sed'\]"),
+            # Builders bind UGAL's mode themselves (ugal-l vs ugal-g).
+            (lambda: RoutingSpec("ugal-l", {"mode": "global"}), "mode"),
+            (lambda: RoutingSpec("ft-anca", {"tables": None}), "tables"),
+            (lambda: TopologySpec("SF", params={"q": 6}), "not a valid MMS"),
+            (lambda: TopologySpec("SF", params={"q": 5, "k": 3}), r"\['k'\]"),
+            (lambda: TopologySpec("SF", params={"q": 5, "seed": 2}), "seed"),
+            (
+                lambda: TopologySpec("HC", target_endpoints=64, params={"q": 5}),
+                r"\['q'\]",
+            ),
+        ],
+    )
+    def test_unknown_or_invalid_spec_params_rejected(self, build, match):
+        with pytest.raises(ValueError, match=match):
+            build()
+
+    def test_accepted_spec_params_still_construct(self):
+        assert RoutingSpec("ugal-g", {"num_candidates": 2}).params == {
+            "num_candidates": 2, "seed": 0,
+        }
+        assert RoutingSpec("val", {"max_hops": 6, "name": "V"}).params["max_hops"] == 6
+        # Unseeded algorithms drop a seed (one hash per simulation).
+        assert RoutingSpec("min", {"seed": 1}) == RoutingSpec("min")
+        assert RoutingSpec("df-min", {"seed": 4}).params == {}
+        TopologySpec("SF", params={"q": 7, "concentration": 3})
+        TopologySpec("DF", params={"h": 2})
+        TopologySpec("HC", target_endpoints=64, params={"concentration": 2})
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("measure_cycles", 0),
+            ("warmup_cycles", -5),
+            ("drain_cycles", -1),
+            ("num_vcs", 0),
+            ("packet_length", 0),
+            ("buffer_per_port", 0),
+            ("speedup", 0),
+            ("credit_delay", -1),
+            ("channel_latency", -1),
+            ("sa_delay", -2),
+            ("vc_delay", -1),
+            ("crossbar_delay", -1),
+        ],
+    )
+    def test_out_of_range_sim_config_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            SimConfig(**{field: value})
+        # Zero warmup/drain and zero delays stay valid.
+        SimConfig(warmup_cycles=0, drain_cycles=0, credit_delay=0, sa_delay=0)
+
     def test_spec_params_dicts_are_not_aliased(self):
         shared: dict = {}
         RoutingSpec("val", shared)

@@ -445,6 +445,36 @@ class TestCampaignAndService:
             assert s.backend == "cycle"
             assert resolve(s).backend == "cycle-vec"
 
+    def test_key_overflow_keeps_flat_engine(self):
+        """Past the packed int64 key bound a >=98-router scenario stays
+        on ``cycle``: resolution screens with the bound the batched
+        engine's constructor enforces."""
+        from repro.scenarios import RoutingSpec, Scenario, TopologySpec, TrafficSpec
+        from repro.scenarios.resolve import resolve
+        from repro.sim.engine_vec import packed_keys_fit
+
+        def scenario(cfg):
+            return Scenario(
+                topology=TopologySpec("SF", params={"q": 7}),
+                routing=RoutingSpec("min"),
+                sim=cfg,
+                traffic=TrafficSpec("uniform"),
+                loads=[0.1],
+            )
+
+        cfg = SimConfig(warmup_cycles=0, measure_cycles=10**13, drain_cycles=0)
+        resolved = resolve(scenario(cfg))
+        assert resolved.topology.num_routers >= 98
+        assert not packed_keys_fit(resolved.topology, cfg.num_vcs, 10**13)
+        assert resolved.backend == "cycle"
+        with pytest.raises(ValueError, match="packed int64 sort keys"):
+            VecEngine(
+                resolved.topology, resolved.routing_factory(),
+                resolved.traffic, 0.1, cfg,
+            )
+        # The same instance at a normal run length takes the default.
+        assert resolve(scenario(CFG7)).backend == "cycle-vec"
+
     def test_worker_count_byte_identity(self, tmp_path):
         from repro.scenarios import run_campaign
 
