@@ -27,13 +27,20 @@ q=11 cycle-vec point: an all-off ``TelemetrySpec`` must cost < 3%
 (it normalises to no probes at all), and the full probe set < 25%,
 with results unperturbed either way.
 
+``test_adaptive_planning_gate`` covers the routings the paper's Fig 6
+actually uses: VAL, UGAL-L and UGAL-G plan a path per packet at
+injection, so at MMS(q=11) on ``cycle-vec`` their cost is planning,
+not the tick loop.  The gate holds UGAL-L to at most 20 MIN runs
+(median of 7 interleaved CPU-time pairs on a short run).
+
 ``test_bench_trajectory_json`` additionally times the **flow-level
 backend** (a full paper-scale-shaped sweep at MMS(q=11)) and writes
 ``BENCH_sim.json`` at the repository root — flits/sec for ``cycle``
 and ``cycle-vec`` (with speedup ratios, at q=5 and q=11), sweep
-rows/sec for ``flow``, telemetry overhead ratios, plus an append-only
-``history`` list — so the performance trajectory of every fidelity is
-tracked across PRs.
+rows/sec for ``flow``, telemetry overhead ratios, the adaptive cells'
+seconds at q=11 and cycle vs cycle-vec per routing at q=5, plus an
+append-only ``history`` list — so the performance trajectory of every
+fidelity is tracked across PRs.
 
 Run standalone with ``--profile`` for a cProfile top-20 of both cycle
 tick loops::
@@ -46,7 +53,12 @@ import subprocess
 import time
 from pathlib import Path
 
-from repro.routing import MinimalRouting, RoutingTables
+from repro.routing import (
+    MinimalRouting,
+    RoutingTables,
+    UGALRouting,
+    ValiantRouting,
+)
 from repro.sim import SimConfig, TelemetrySpec, flow_sweep, simulate, vec_simulate
 from repro.sim.reference import ReferenceMinimalRouting, reference_simulate
 from repro.topologies import SlimFly
@@ -73,13 +85,31 @@ TELEMETRY_ON_CEILING = 1.25
 FLOW_Q = 11
 FLOW_LOADS = [round(0.1 * i, 4) for i in range(1, 11)]
 BENCH_PATH = Path(__file__).resolve().parent.parent / "BENCH_sim.json"
+#: Adaptive-routing cells: the Fig 6 routings, whose per-packet path
+#: planning dominates.  A short run keeps 7 gate pairs at q=11 under a
+#: minute.
+ADAPTIVE_LOAD = 0.5
+ADAPTIVE_CONFIG = SimConfig(
+    warmup_cycles=40, measure_cycles=80, drain_cycles=400, seed=1
+)
+ADAPTIVE_ROUTINGS = {
+    "MIN": MinimalRouting,
+    "VAL": lambda tables: ValiantRouting(tables, seed=1),
+    "UGAL-L": lambda tables: UGALRouting(tables, "local", seed=1),
+    "UGAL-G": lambda tables: UGALRouting(tables, "global", seed=1),
+}
+#: UGAL-L may cost at most this many MIN runs at q=11 on cycle-vec
+#: (median pair ratio).  Per-call scalar planning measured about 50.
+UGAL_L_OVER_MIN_CEILING = 20.0
 
 
 def _git_commit() -> str:
-    """Short hash of the benched revision (``"unknown"`` off-repo)."""
+    """Short hash of the benched revision (``"unknown"`` off-repo),
+    suffixed ``-dirty`` when tracked files differ from it."""
     try:
         return subprocess.run(
-            ["git", "rev-parse", "--short", "HEAD"],
+            ["git", "describe", "--always", "--dirty", "--abbrev=7",
+             "--exclude=*"],
             cwd=Path(__file__).resolve().parent,
             capture_output=True,
             text=True,
@@ -202,6 +232,55 @@ def test_vec_speedup_over_cycle_at_scale():
         f"cycle-vec is only {speedup:.2f}x the flat engine at q={VEC_Q} "
         f"(floor {VEC_SPEEDUP_FLOOR}x)"
     )
+
+
+def _adaptive_run(engine, setup, routing):
+    sf, tables, traffic = setup
+    build = ADAPTIVE_ROUTINGS[routing]
+    return lambda: engine(sf, build(tables), traffic, ADAPTIVE_LOAD, ADAPTIVE_CONFIG)
+
+
+def _ugal_l_over_min(setup, pairs=7):
+    """Median pair ratio of UGAL-L to MIN CPU time on cycle-vec."""
+    ratio, _, _, _ = _median_pair_ratio(
+        _adaptive_run(vec_simulate, setup, "MIN"),
+        _adaptive_run(vec_simulate, setup, "UGAL-L"),
+        pairs=pairs,
+    )
+    return ratio
+
+
+def test_adaptive_planning_gate():
+    """UGAL-L within UGAL_L_OVER_MIN_CEILING x MIN at q=11 on cycle-vec."""
+    ratio = _ugal_l_over_min(_scale_setup(VEC_Q))
+    print(f"\nUGAL-L / MIN at q={VEC_Q} on cycle-vec: {ratio:.2f}x (median of 7)")
+    assert ratio <= UGAL_L_OVER_MIN_CEILING, (
+        f"UGAL-L costs {ratio:.2f}x MIN at q={VEC_Q} "
+        f"(ceiling {UGAL_L_OVER_MIN_CEILING}x)"
+    )
+
+
+def _adaptive_cells(setup_q11, setup_q5):
+    """Per-routing seconds at q=11 (cycle-vec), and cycle vs cycle-vec
+    per routing at q=5 (bit-identical results asserted)."""
+    q11 = {}
+    for routing in ADAPTIVE_ROUTINGS:
+        _, best = _best_of(_adaptive_run(vec_simulate, setup_q11, routing), 2)
+        q11[routing] = round(best, 3)
+    q5 = {}
+    for routing in ADAPTIVE_ROUTINGS:
+        speedup, _, vec_res, cycle_res = _median_pair_ratio(
+            _adaptive_run(vec_simulate, setup_q5, routing),
+            _adaptive_run(simulate, setup_q5, routing),
+            pairs=3,
+        )
+        assert vec_res == cycle_res, f"cycle-vec diverged from cycle ({routing})"
+        _, vec_s = _best_of(_adaptive_run(vec_simulate, setup_q5, routing), 1)
+        q5[routing] = {
+            "cycle_vec_s": round(vec_s, 3),
+            "cycle_over_cycle_vec": round(speedup, 2),
+        }
+    return q11, q5
 
 
 def _telemetry_overheads(pairs=3):
@@ -336,6 +415,10 @@ def test_bench_trajectory_json():
     )
     assert again == points, "flow backend must be deterministic"
 
+    q11_setup = (vsf, vtables, vtraffic)
+    adaptive_q11, adaptive_q5 = _adaptive_cells(q11_setup, (sf, tables, traffic))
+    ugal_ratio = _ugal_l_over_min(q11_setup)
+
     history = []
     if BENCH_PATH.exists():
         try:
@@ -353,6 +436,9 @@ def test_bench_trajectory_json():
             "flow_rows_per_sec": round(rows_per_sec, 2),
             "telemetry_off_overhead_q11": round(tele_off, 3),
             "telemetry_on_overhead_q11": round(tele_on, 3),
+            "adaptive_q11_cycle_vec_s": adaptive_q11,
+            "ugal_l_over_min_q11": round(ugal_ratio, 2),
+            "adaptive_q5": adaptive_q5,
         }
     )
 
@@ -390,6 +476,20 @@ def test_bench_trajectory_json():
             "off_ceiling": TELEMETRY_OFF_CEILING,
             "on_ceiling": TELEMETRY_ON_CEILING,
         },
+        "adaptive": {
+            "network": f"SlimFly MMS(q={VEC_Q})",
+            "backend": "cycle-vec",
+            "offered_load": ADAPTIVE_LOAD,
+            "cycles": [
+                ADAPTIVE_CONFIG.warmup_cycles,
+                ADAPTIVE_CONFIG.measure_cycles,
+                ADAPTIVE_CONFIG.drain_cycles,
+            ],
+            "cpu_s": adaptive_q11,
+            "ugal_l_over_min": round(ugal_ratio, 2),
+            "ugal_l_over_min_ceiling": UGAL_L_OVER_MIN_CEILING,
+            "q5_cycle_vs_cycle_vec": adaptive_q5,
+        },
         "history": history,
     }
     BENCH_PATH.write_text(json.dumps(payload, indent=2) + "\n")
@@ -398,7 +498,8 @@ def test_bench_trajectory_json():
         f"cycle-vec {vec_q5_rate / 1e3:.1f} kflit/s "
         f"({vec_q5_speedup:.2f}x q=5, {vec_q11_speedup:.2f}x q={VEC_Q}), "
         f"flow {rows_per_sec:.1f} sweep rows/s, "
-        f"telemetry {tele_off:.3f}x off / {tele_on:.3f}x on -> "
+        f"telemetry {tele_off:.3f}x off / {tele_on:.3f}x on, "
+        f"UGAL-L {ugal_ratio:.2f}x MIN at q={VEC_Q} -> "
         f"{BENCH_PATH.name}"
     )
 
@@ -447,6 +548,7 @@ def main(argv=None):
     test_speedup_over_seed_engine()
     test_vec_speedup_over_cycle_at_scale()
     test_telemetry_overhead_gates()
+    test_adaptive_planning_gate()
     test_bench_trajectory_json()
 
 

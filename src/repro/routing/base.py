@@ -44,10 +44,25 @@ class RoutingAlgorithm(ABC):
 
         Returns the full path ``[src, ..., dst]`` for source-routed
         algorithms, or ``None`` for per-hop algorithms.  ``network``
-        is the live :class:`repro.sim.network.SimNetwork` (queue
-        occupancies are read from it by adaptive protocols); analysis
-        callers may pass a lighter object exposing the same
-        ``queue_length(router, neighbor)`` API.
+        is any object exposing ``queue_length(router, neighbor)``
+        (adaptive protocols read occupancies from it), or ``None``.
+
+        Engines call ``plan`` in batches: every packet injected in one
+        cycle, in injection order, then :meth:`sync_rng` once.  Within
+        a batch the queue view is constant (injection touches no output
+        stage or credit), so engines pass a per-phase snapshot rather
+        than the live network.  Analysis callers may pass a lighter
+        object with the same API.
+        """
+
+    def sync_rng(self) -> None:
+        """End a planning batch: bring ``self.rng`` up to date.
+
+        Routings that buffer their random draws (see
+        :class:`repro.util.rng.DrawBuffer`) run their generator ahead
+        of the draws actually used; this rewinds it to exactly where
+        unbuffered draws would have left it.  A no-op for routings
+        without buffered draws.
         """
 
     def next_hop(self, at_router: int, dst_router: int, packet, network) -> int:
@@ -71,6 +86,30 @@ class RoutingAlgorithm(ABC):
         for u, v in zip(path, path[1:]):
             total += network.queue_length(u, v)
         return len(path) - 1 + total
+
+    @staticmethod
+    def cheapest_path(paths: list[list[int]], network, local: bool) -> list[int]:
+        """UGAL's pick: the first path minimising ``(cost, length)``.
+
+        ``cost`` is :meth:`path_cost_local` (``local``) or
+        :meth:`path_cost_global`, inlined and in exact integer
+        arithmetic (the float costs are integral, so the order and the
+        ties are the same).
+        """
+        queue_length = network.queue_length
+        best = best_key = None
+        for path in paths:
+            n = len(path)
+            if local:
+                cost = (n - 1) * (1 + queue_length(path[0], path[1])) if n > 1 else 0
+            else:
+                cost = n - 1
+                for i in range(n - 1):
+                    cost += queue_length(path[i], path[i + 1])
+            key = (cost, n)
+            if best_key is None or key < best_key:
+                best, best_key = path, key
+        return best
 
 
 class SourceRoutedAlgorithm(RoutingAlgorithm):

@@ -14,7 +14,7 @@ from repro.routing.base import SourceRoutedAlgorithm
 from repro.routing.tables import RoutingTables
 from repro.routing.valiant import stitch
 from repro.topologies.dragonfly import Dragonfly
-from repro.util.rng import make_rng
+from repro.util.rng import DrawBuffer, make_rng
 
 
 class DragonflyMinimal(SourceRoutedAlgorithm):
@@ -73,6 +73,8 @@ class DragonflyUGAL(SourceRoutedAlgorithm):
         self.num_candidates = num_candidates
         self.mode = mode
         self.rng = make_rng(seed)
+        #: Every draw goes through this buffer (see ValiantRouting).
+        self.draws = DrawBuffer(self.rng)
         self.name = name
         self.num_vcs = max(1, 2 * tables.diameter())
         self._minimal = DragonflyMinimal(topology, tables)
@@ -80,13 +82,18 @@ class DragonflyUGAL(SourceRoutedAlgorithm):
     def _valiant_group_path(self, src: int, dst: int) -> list[int]:
         """Minimal to a random router of a random intermediate group, then on."""
         topo = self.topology
-        g_src, g_dst = topo.group_of(src), topo.group_of(dst)
-        choices = [g for g in range(topo.g) if g not in (g_src, g_dst)]
-        if not choices:
-            return self.tables.sample_min_path(src, dst, self.rng)
-        mid_group = choices[int(self.rng.integers(len(choices)))]
+        excluded = sorted({topo.group_of(src), topo.group_of(dst)})
+        num_choices = topo.g - len(excluded)
+        if num_choices <= 0:
+            return self.tables.sample_min_path(src, dst, self.draws)
+        # The draw indexes the ascending groups other than the excluded
+        # ones; skip past each excluded group it reaches.
+        mid_group = self.draws.below(num_choices)
+        for g in excluded:
+            if mid_group >= g:
+                mid_group += 1
         routers = topo.routers_of_group(mid_group)
-        mid = routers[int(self.rng.integers(len(routers)))]
+        mid = routers[self.draws.below(len(routers))]
         return stitch(
             self._minimal.canonical_path(src, mid),
             self._minimal.canonical_path(mid, dst),
@@ -100,7 +107,7 @@ class DragonflyUGAL(SourceRoutedAlgorithm):
             cands.append(self._valiant_group_path(src_router, dst_router))
         if network is None:
             return cands[0]
-        cost = (
-            self.path_cost_local if self.mode == "local" else self.path_cost_global
-        )
-        return min(cands, key=lambda p: (cost(p, network), len(p)))
+        return self.cheapest_path(cands, network, self.mode == "local")
+
+    def sync_rng(self) -> None:
+        self.draws.sync()

@@ -1,11 +1,14 @@
 """All-pairs shortest-path tables shared by every routing algorithm.
 
-Stores only the (N_r × N_r) hop-distance matrix (int16) and derives
-next-hop candidates on demand: the neighbours v of u with
-``dist[v, dst] == dist[u, dst] − 1``.  This keeps memory linear in the
-distance matrix while still exposing full path diversity (needed by
-Valiant sampling and by the worst-case traffic generator, which must
-know *the* two-hop path between non-adjacent Slim Fly routers).
+Stores the (N_r × N_r) hop-distance matrix (int16) and, per router,
+a *candidate row*: for every destination, the tuple of neighbours v of
+u with ``dist[v, dst] == dist[u, dst] − 1``, in adjacency order.  Rows
+are built lazily, one numpy comparison per router on first use, so
+tables that never sample a path (the flow backend's paper-scale
+topologies) never pay for them.  The rows expose full path diversity:
+Valiant and UGAL planners walk them per hop, and the worst-case
+traffic generator reads them to find *the* two-hop path between
+non-adjacent Slim Fly routers.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.analysis.distance import adjacency_to_csr
-from repro.util.rng import make_rng
+from repro.util.rng import DrawBuffer, make_rng
 
 
 class RoutingTables:
@@ -23,9 +26,12 @@ class RoutingTables:
         self.adjacency = adjacency
         self.num_routers = len(adjacency)
         self.dist = self._all_pairs_distances(adjacency)
-        self._dist_list: list[list[int]] | None = None
         self._next_hop: np.ndarray | None = None
         self._next_hop_list: list[list[int]] | None = None
+        #: Per-router candidate rows (see :meth:`candidate_row`).
+        self._cand_rows: list[list[tuple[int, ...]] | None] = [
+            None
+        ] * self.num_routers
 
     @staticmethod
     def _all_pairs_distances(adjacency: list[list[int]]) -> np.ndarray:
@@ -39,17 +45,6 @@ class RoutingTables:
         return d.astype(np.int16)
 
     # -- derived tables ---------------------------------------------------
-
-    def _distances_as_lists(self) -> list[list[int]]:
-        """Distance matrix as nested Python lists (hot-loop container).
-
-        Scalar indexing into a numpy matrix costs ~3x a plain list
-        lookup; per-hop candidate scans (Valiant sampling, UGAL
-        candidate generation) do millions of them.
-        """
-        if self._dist_list is None:
-            self._dist_list = self.dist.tolist()
-        return self._dist_list
 
     def next_hop_matrix(self) -> np.ndarray:
         """``nh[u, dst]``: the deterministic minimal next hop (int32).
@@ -73,6 +68,38 @@ class RoutingTables:
             self._next_hop = nh
         return self._next_hop
 
+    def candidate_row(self, u: int) -> list[tuple[int, ...]]:
+        """``row[dst]``: the minimal next hops from ``u`` toward ``dst``.
+
+        Neighbours of ``u`` on some shortest path to ``dst``, in
+        adjacency order (empty at ``dst == u``).  Built on first use
+        from one comparison over the neighbours' distance rows.
+        """
+        row = self._cand_rows[u]
+        if row is None:
+            nbrs = self.adjacency[u]
+            dist = self.dist
+            on_min = (dist[nbrs] == dist[u] - 1).T  # (n, deg)
+            # Row-major nonzero: neighbour indices grouped by
+            # destination, in adjacency order within a group.
+            cols = on_min.nonzero()[1].tolist()
+            ends = np.cumsum(on_min.sum(axis=1)).tolist()
+            # Most destinations have one candidate: share one tuple per
+            # neighbour rather than allocating one per destination.
+            single = [(v,) for v in nbrs]
+            row = [
+                single[cols[a]] if b - a == 1
+                else tuple(nbrs[c] for c in cols[a:b])
+                for a, b in zip([0, *ends], ends)
+            ]
+            self._cand_rows[u] = row
+        return row
+
+    def candidate_rows(self) -> list[list[tuple[int, ...]] | None]:
+        """The lazily-filled row cache: entry ``u`` is None until
+        :meth:`candidate_row` builds it (hot loops index it directly)."""
+        return self._cand_rows
+
     def _next_hop_as_lists(self) -> list[list[int]]:
         if self._next_hop_list is None:
             self._next_hop_list = self.next_hop_matrix().tolist()
@@ -85,11 +112,7 @@ class RoutingTables:
 
     def next_hop_candidates(self, at: int, dst: int) -> list[int]:
         """Neighbours of ``at`` lying on some shortest path to ``dst``."""
-        if at == dst:
-            return []
-        dist = self._distances_as_lists()
-        target = dist[at][dst] - 1
-        return [v for v in self.adjacency[at] if dist[v][dst] == target]
+        return list(self.candidate_row(at)[dst])
 
     def min_path(self, src: int, dst: int) -> list[int]:
         """Deterministic shortest router path [src, ..., dst].
@@ -106,13 +129,17 @@ class RoutingTables:
         return path
 
     def sample_min_path(self, src: int, dst: int, rng) -> list[int]:
-        """Uniformly-random-per-hop shortest path (used by VAL segments)."""
-        rng = make_rng(rng)
+        """Uniformly-random-per-hop shortest path (used by VAL segments).
+
+        ``rng`` is a seed, a ``Generator``, or a
+        :class:`~repro.util.rng.DrawBuffer` (same draws, buffered).
+        """
+        below = rng.below if isinstance(rng, DrawBuffer) else make_rng(rng).integers
         path = [src]
         at = src
         while at != dst:
-            cands = self.next_hop_candidates(at, dst)
-            at = cands[int(rng.integers(len(cands)))] if len(cands) > 1 else cands[0]
+            cands = self.candidate_row(at)[dst]
+            at = cands[int(below(len(cands)))] if len(cands) > 1 else cands[0]
             path.append(at)
         return path
 
@@ -126,7 +153,7 @@ class RoutingTables:
         def count(u: int) -> int:
             if u in memo:
                 return memo[u]
-            memo[u] = sum(count(v) for v in self.next_hop_candidates(u, dst))
+            memo[u] = sum(count(v) for v in self.candidate_row(u)[dst])
             return memo[u]
 
         return count(src)

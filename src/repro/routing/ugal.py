@@ -48,6 +48,8 @@ class UGALRouting(SourceRoutedAlgorithm):
         self.mode = mode
         self.num_candidates = num_candidates
         self.rng = make_rng(seed)
+        #: The Valiant candidate generator; its draw buffer is the only
+        #: consumer of ``self.rng``.
         self.valiant = ValiantRouting(tables, seed=self.rng)
         self.name = name or ("UGAL-L" if mode == "local" else "UGAL-G")
         self.num_vcs = max(1, 2 * tables.diameter())
@@ -64,8 +66,7 @@ class UGALRouting(SourceRoutedAlgorithm):
         cands = self.candidate_paths(src_router, dst_router)
         if network is None:
             return cands[0]
-        cost = (
-            self.path_cost_local if self.mode == "local" else self.path_cost_global
-        )
-        best = min(cands, key=lambda p: (cost(p, network), len(p)))
-        return best
+        return self.cheapest_path(cands, network, self.mode == "local")
+
+    def sync_rng(self) -> None:
+        self.valiant.sync_rng()

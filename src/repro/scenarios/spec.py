@@ -186,6 +186,10 @@ class WorkloadSpec:
             )
         if self.ranks < 2:
             raise ValueError(f"ranks must be >= 2, got {self.ranks}")
+        for name in ("size_flits", "iterations"):
+            value = getattr(self, name)
+            if value < 1:
+                raise ValueError(f"{name} must be >= 1, got {value}")
 
     def to_dict(self) -> dict:
         return {

@@ -45,7 +45,7 @@ import numpy as np
 
 from repro.routing.base import RoutingAlgorithm
 from repro.sim.config import SimConfig
-from repro.sim.network import SimNetwork
+from repro.sim.network import QueueSnapshot, SimNetwork
 from repro.sim.packet import Packet
 from repro.sim.stats import LatencyAccumulator, SimResult
 from repro.sim.telemetry import TelemetryResult, TelemetrySpec, latency_histogram
@@ -101,6 +101,10 @@ class SimEngine:
             # Honour the routing algorithm's deadlock-freedom demand.
             self.config = self.config.with_vcs(routing.num_vcs)
         self.net = SimNetwork(topology, self.config)
+        #: The queue view planners read (one snapshot per injection phase).
+        self._queues = QueueSnapshot(
+            self.net.port_base_list, self.net.port_index, self.net.queue_lengths
+        )
         self.rng = make_rng(self.config.seed)
 
         self.now = 0
@@ -206,6 +210,8 @@ class SimEngine:
         if counting_plans:
             plan = self._counted_plan(plan)
         net = self.net
+        queues = self._queues
+        queues.invalidate()
         inject = net.inject_queue
         active_add = net.active_routers.add
         now = self.now
@@ -231,7 +237,9 @@ class SimEngine:
                 pkt.dst_endpoint = dst
                 pkt.dst_router = dst_router
                 pkt.path = (
-                    plan(src_router, dst_router, net) if plan is not None else None
+                    plan(src_router, dst_router, queues)
+                    if plan is not None
+                    else None
                 )
                 pkt.hop = 0
                 pkt.inject_time = now
@@ -260,7 +268,9 @@ class SimEngine:
                     continue
                 src_router = emap[src]
                 dst_router = emap[dst]
-                path = plan(src_router, dst_router, net) if plan is not None else None
+                path = (
+                    plan(src_router, dst_router, queues) if plan is not None else None
+                )
                 pkt = Packet(src, dst, dst_router, path, now, measuring)
                 injected += 1
                 inject[src].append(pkt)
@@ -276,6 +286,8 @@ class SimEngine:
                     occ[r] = o
                     if o > occ_max[r]:
                         occ_max[r] = o
+        if plan is not None:
+            routing.sync_rng()
         if self._tele_route and not counting_plans:
             # Table-driven protocols never call plan(); every injected
             # packet follows the minimal next-hop table.
@@ -753,6 +765,8 @@ class ClosedLoopEngine(SimEngine):
             if routing.source_routed and self._next_hop is None
             else None
         )
+        queues = self._queues
+        queues.invalidate()
         while self._ready:
             batch = sorted(self._ready)
             self._ready = []
@@ -769,7 +783,7 @@ class ClosedLoopEngine(SimEngine):
                 queue = inject[m.src]
                 for _ in range(npkts):
                     path = (
-                        plan(src_router, dst_router, net)
+                        plan(src_router, dst_router, queues)
                         if plan is not None
                         else None
                     )
@@ -778,6 +792,8 @@ class ClosedLoopEngine(SimEngine):
                     queue.append(pkt)
                 active_add(src_router)
                 self.measured_injected += npkts
+        if plan is not None:
+            routing.sync_rng()
 
     # -- main loop ---------------------------------------------------------
 

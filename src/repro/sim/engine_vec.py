@@ -37,12 +37,13 @@ Determinism: the engine replays the flat engine's RNG draw sequence
 routed plans in source order) and its switch-allocation tie-break
 (rank, then buffer first-use sequence, then endpoint order).  Event
 ordering normally reduces to canonical ascending-channel order, with
-one subtlety at cold start: the flat engine iterates a Python *set* of
-active routers, whose order deviates from ascending while the set's
-hash table is still small.  The engine mirrors that set exactly
-(same add/discard traffic) and sorts transmissions by its iteration
-order until the mirror provably turns ascending-forever, at which
-point it is dropped.  The differential suite
+one subtlety: the flat engine iterates a Python *set* of active
+routers, whose order deviates from ascending while the set's hash
+table is still small, and again whenever a discarded router is
+re-added past its home slot (CPython does not reuse the deleted
+slot).  The engine mirrors that set exactly (same add/discard
+traffic) for the whole run and sorts transmissions by its iteration
+order whenever that order is not ascending.  The differential suite
 (``tests/test_vec_equivalence.py``) pins ``cycle-vec`` against
 ``cycle`` bit-for-bit across the contract matrix, with the pinned
 saturation/latency tolerance as the documented fallback contract.
@@ -67,7 +68,7 @@ import numpy as np
 
 from repro.routing.base import RoutingAlgorithm
 from repro.sim.config import SimConfig
-from repro.sim.network import channel_layout
+from repro.sim.network import QueueSnapshot, channel_layout
 from repro.sim.stats import SimResult
 from repro.sim.telemetry import TelemetryResult, TelemetrySpec, latency_histogram
 from repro.topologies.base import Topology
@@ -97,12 +98,13 @@ def packed_keys_fit(topology: Topology, num_vcs: int, cycle_limit: int) -> bool:
 
 
 class _QueueView:
-    """The ``queue_length`` view adaptive planners (UGAL) read.
+    """The live ``queue_length`` view per-hop routings (ANCA) read.
 
     Exposes the same congestion signal as
     :meth:`repro.sim.network.SimNetwork.queue_length`, backed by the
-    vectorised engine's arrays, so UGAL's per-packet cost comparison
-    sees bit-identical state and plans identical paths.
+    vectorised engine's arrays and read during switch allocation, so
+    per-hop decisions see bit-identical state.  Source-routed planners
+    read a per-phase :class:`~repro.sim.network.QueueSnapshot` instead.
     """
 
     __slots__ = ("_pb", "_pi", "_stage_len", "_credits", "_V", "_cap")
@@ -188,6 +190,7 @@ class VecEngine:
         self._adaptive = None
         self._chan_of_list: list[list[int]] | None = None
         self._view: _QueueView | None = None
+        self._queues: QueueSnapshot | None = None
         if table_driven:
             nh = np.asarray(routing.next_hop_table(), dtype=np.int64)
             self._next_chan_flat = chan_of[
@@ -320,7 +323,19 @@ class VecEngine:
         )
         self._emap = np.asarray(topology.endpoint_map, dtype=np.int64)
         self._excludes_self = bool(getattr(traffic, "excludes_self", False))
-        if self._plan is not None or self._adaptive is not None:
+        if self._plan is not None:
+            # Every channel's queue_length in one gather.  The closure
+            # holds the (never reassigned) arrays, not self: a cycle
+            # through the engine would keep its arrays alive until the
+            # cyclic collector ran.
+            stage_len, credits, full = self._stage_len, self.credits, cap * V
+            self._queues = QueueSnapshot(
+                self._pb.tolist(), self._pi,
+                lambda: (
+                    stage_len + full - credits.reshape(C, V).sum(axis=1)
+                ).tolist(),
+            )
+        if self._adaptive is not None:
             self._view = _QueueView(
                 self._pb.tolist(), self._pi, self._stage_len, self.credits,
                 V, cap,
@@ -334,15 +349,21 @@ class VecEngine:
         #: CPython iteration order is the flat engine's transmit order,
         #: which fixes the first-use sequence of input buffers (the
         #: allocation tie-break).  For small-int router ids the order
-        #: is ascending — the canonical order this engine transmits in
-        #: — except while the set's hash table is still small (cold
-        #: start).  We replay the same add/discard traffic on a real
-        #: set and sort transmits by its iteration order until it holds
-        #: every router ascending: from then on re-adds hit their home
-        #: slots and the order is ascending forever, so the mirror is
-        #: dropped.
-        self._mirror: set[int] | None = set()
-        self._router_range = list(range(nr))
+        #: is mostly ascending — the canonical order this engine
+        #: transmits in — but not while the set's hash table is still
+        #: small, nor after a discarded router is re-added (CPython
+        #: places it in the next free slot, not its deleted home slot).
+        #: We replay the same add/discard traffic on a real set for the
+        #: whole run and sort transmits by its iteration order whenever
+        #: that order is not ascending (see :meth:`_mirror_rank`).
+        self._mirror: set[int] = set()
+        #: Membership of the mirror as a bool array.  Adding a member
+        #: leaves a set's layout unchanged, so only absent routers are
+        #: passed to the real set (see :meth:`_mirror_add`).
+        self._in_mirror = np.zeros(nr, dtype=bool)
+        #: :meth:`_mirror_rank`'s result, recomputed after a change.
+        self._rank: np.ndarray | None = None
+        self._rank_stale = False
 
         self.now = 0
         self.measured_injected = 0
@@ -368,6 +389,55 @@ class VecEngine:
             tables = getattr(routing, "tables", None)
             if tables is not None:
                 self._tele_dist = tables.dist.tolist()
+
+    # -- active-router mirror --------------------------------------------------
+
+    def _discard_idle(self, ob: np.ndarray, oe: np.ndarray) -> None:
+        """Drop idle routers from the mirror set, as the flat engine's
+        allocation drops them from its active set: membership after
+        allocation is exactly the routers with head requests (buffers
+        ``ob``, injection FIFOs ``oe``) or staged output."""
+        busy = np.zeros(self.num_routers, dtype=bool)
+        busy[self._chan_src[self._stage_len > 0]] = True
+        busy[self._buf_router[ob]] = True
+        busy[self._ep_router[oe]] = True
+        stale = (self._in_mirror & ~busy).nonzero()[0]
+        if stale.size:
+            # Per-element discards in place (never intersection_update:
+            # that rebuilds the hash table and loses the iteration
+            # order).  A discard only marks its slot deleted, so their
+            # order does not matter.
+            for r in stale.tolist():
+                self._mirror.discard(r)
+            self._in_mirror[stale] = False
+            self._rank_stale = True
+
+    def _mirror_add(self, routers: np.ndarray) -> None:
+        """``set.update(routers)`` on the mirror, as the flat engine's
+        per-element ``add`` calls.  Adding a member changes nothing, so
+        only the absent routers (in order) reach the real set."""
+        if len(self._mirror) == self.num_routers:
+            return
+        new = routers[~self._in_mirror[routers]]
+        if new.size:
+            self._mirror.update(new.tolist())
+            self._in_mirror[new] = True
+            self._rank_stale = True
+
+    def _mirror_rank(self) -> np.ndarray | None:
+        """Each router's position in the mirror set's iteration order,
+        or None while that order is ascending (the canonical order).
+        Only the entries of routers in the set are meaningful."""
+        if self._rank_stale:
+            order = np.fromiter(
+                self._mirror, dtype=np.int64, count=len(self._mirror)
+            )
+            self._rank = None
+            if (order[1:] < order[:-1]).any():
+                self._rank = np.empty(self.num_routers, dtype=np.int64)
+                self._rank[order] = np.arange(order.size, dtype=np.int64)
+            self._rank_stale = False
+        return self._rank
 
     # -- pool / ring growth ----------------------------------------------------
 
@@ -415,7 +485,6 @@ class VecEngine:
 
     def _phase_arrivals(self) -> None:
         now = self.now
-        mirror = self._mirror
         slot = now % self._arr_horizon
         k = self._arr_n[slot]
         if k:
@@ -424,8 +493,7 @@ class VecEngine:
             ev = self._arr_ev[slot, :k]
             p = ev[:, 0]
             b = ev[:, 1]
-            if mirror is not None:
-                mirror.update(self._buf_router[b].tolist())
+            self._mirror_add(self._buf_router[b])
             if self._unseen:
                 seqs = self._in_seq[b]
                 if (seqs < 0).any():
@@ -456,8 +524,7 @@ class VecEngine:
             # is safe.  Multi-flit packets return all L credits at once.
             keys = self._cw[cslot, :m]
             self.credits[keys] += self._L
-            if mirror is not None:
-                mirror.update(self._buf_src[keys].tolist())
+            self._mirror_add(self._buf_src[keys])
 
     def _phase_injection(self, measuring: bool) -> None:
         load = self.offered_load / self._L
@@ -488,8 +555,7 @@ class VecEngine:
         k = len(srcs)
         if k == 0:
             return
-        if self._mirror is not None:
-            self._mirror.update(self._emap[srcs].tolist())
+        self._mirror_add(self._emap[srcs])
         if self._free_top < k:
             self._grow_pool(k)
         self._free_top -= k
@@ -509,14 +575,16 @@ class VecEngine:
             plan = self._plan
             if self._tele_route:
                 plan = self._counted_plan(plan)
-            view = self._view
+            queues = self._queues
+            queues.invalidate()
             chan_of = self._chan_of_list
             path_rows = self._p_path
             for pid, sr, dr in zip(ids.tolist(), src_rt.tolist(), dst_rt.tolist()):
-                path = plan(sr, dr, view)
+                path = plan(sr, dr, queues)
                 row = path_rows[pid]
                 for h in range(len(path) - 1):
                     row[h] = chan_of[path[h]][path[h + 1]]
+            self.routing.sync_rng()
         self._inj_maxbound += 1
         if self._inj_maxbound >= self._icap - 1:
             true_max = int(self._inj_len.max())
@@ -561,24 +629,7 @@ class VecEngine:
         nb = ob.size
         ne = oe.size
         n = nb + ne
-        if self._mirror is not None:
-            # The flat engine drops idle routers from its active set
-            # here; membership after allocation is exactly the routers
-            # with head requests or staged output.
-            busy = set(
-                self._chan_src[self._stage_len.nonzero()[0]].tolist()
-            )
-            if nb:
-                busy.update(self._buf_router[ob].tolist())
-            if ne:
-                busy.update(self._ep_router[oe].tolist())
-            # Discard in place (never intersection_update: that
-            # rebuilds the hash table and loses the iteration order
-            # the flat engine's per-element discards preserve).
-            mirror = self._mirror
-            stale = [r for r in mirror if r not in busy]
-            for r in stale:
-                mirror.discard(r)
+        self._discard_idle(ob, oe)
         if n == 0:
             return
         now = self.now
@@ -749,18 +800,7 @@ class VecEngine:
         nb = ob.size
         ne = oe.size
         n = nb + ne
-        mirror = self._mirror
-        if mirror is not None:
-            busy = set(
-                self._chan_src[self._stage_len.nonzero()[0]].tolist()
-            )
-            if nb:
-                busy.update(self._buf_router[ob].tolist())
-            if ne:
-                busy.update(self._ep_router[oe].tolist())
-            stale = [r for r in mirror if r not in busy]
-            for r in stale:
-                mirror.discard(r)
+        self._discard_idle(ob, oe)
         if n == 0:
             return
         now = self.now
@@ -800,16 +840,10 @@ class VecEngine:
         # (rank, seq) collapse into one int: the flat request sort key
         # (seqk already folds the injection bit in via seq_span).
         lkey = ps[pk, 3] * self._k_inj + seqk
-        if mirror is not None:
-            # Requesting routers are busy by construction, so every one
-            # survives the discard above and keeps its mirror position.
-            rpos = {r: i for i, r in enumerate(mirror)}
-            rord = np.fromiter(
-                (rpos[r] for r in rtr.tolist()), dtype=np.int64, count=n
-            )
-            order = np.lexsort((lkey, rord))
-        else:
-            order = np.lexsort((lkey, rtr))
+        # Requesting routers are busy by construction, so every one
+        # survives the discard above and keeps its mirror position.
+        rank = self._mirror_rank()
+        order = np.lexsort((lkey, rtr if rank is None else rank[rtr]))
 
         cslot = (now + self.config.credit_delay) % self._credit_horizon
         cw = self._cw[cslot]
@@ -995,24 +1029,14 @@ class VecEngine:
 
     def _phase_transmit(self) -> None:
         tc = self._stage_len.nonzero()[0]
-        mirror = self._mirror
-        if mirror is not None:
-            if (
-                len(mirror) == self.num_routers
-                and list(mirror) == self._router_range
-            ):
-                # Full and ascending: CPython keeps a grown small-int
-                # table canonical forever, so the flat engine's
-                # transmit order is ascending from here on.
-                self._mirror = None
-            elif tc.size > 1:
-                # Replay the flat engine's router iteration order
-                # (ports stay ascending within a router).
-                pos = {r: i for i, r in enumerate(mirror)}
-                src = self._chan_src
-                C = self.num_channels
-                okey = [pos[src[c]] * C + c for c in tc.tolist()]
-                tc = tc[np.argsort(okey)]
+        if tc.size > 1:
+            rank = self._mirror_rank()
+            if rank is not None:
+                # Replay the flat engine's router iteration order; tc
+                # is ascending, so ports stay ascending within a router.
+                key = rank[self._chan_src[tc]]
+                if (key[1:] < key[:-1]).any():
+                    tc = tc[np.argsort(key, kind="stable")]
         if tc.size == 0:
             return
         now = self.now
@@ -1343,6 +1367,8 @@ class VecClosedLoopEngine(VecEngine):
             return
         L = self._L
         plan = self._plan
+        if plan is not None:
+            self._queues.invalidate()
         while self._ready:
             batch = np.asarray(sorted(self._ready), dtype=np.int64)
             self._ready = []
@@ -1357,8 +1383,7 @@ class VecClosedLoopEngine(VecEngine):
             nz = batch[~zh]
             if nz.size == 0:
                 continue
-            if self._mirror is not None:
-                self._mirror.update(self._m_src_rt[nz].tolist())
+            self._mirror_add(self._m_src_rt[nz])
             npkts = -(-self._m_size[nz] // L)
             self._m_remaining[nz] = npkts
             total = int(npkts.sum())
@@ -1386,13 +1411,13 @@ class VecClosedLoopEngine(VecEngine):
                 # Source-routed plans per packet in batch order: the
                 # identical RNG consumption (and queue view) as the
                 # flat closed-loop injection loop.
-                view = self._view
+                queues = self._queues
                 chan_of = self._chan_of_list
                 path_rows = self._p_path
                 src_rt = self._m_src_rt[nz][rep].tolist()
                 drt = dst_rt.tolist()
                 for j, pid in enumerate(ids.tolist()):
-                    path = plan(src_rt[j], drt[j], view)
+                    path = plan(src_rt[j], drt[j], queues)
                     prow = path_rows[pid]
                     for h in range(len(path) - 1):
                         prow[h] = chan_of[path[h]][path[h + 1]]
@@ -1417,6 +1442,8 @@ class VecClosedLoopEngine(VecEngine):
             self._inj_store[ss, pos] = sid
             self._inj_len[u] += counts
             self._n_injq += total
+        if plan is not None:
+            self.routing.sync_rng()
 
     # -- main loop ---------------------------------------------------------
 

@@ -33,7 +33,10 @@ contract").
 
 ``queue_length(u, v)`` exposes the congestion signal UGAL variants
 read: the output staging occupancy plus flits already buffered
-downstream (capacity − credits).
+downstream (capacity − credits).  Planners read it through a
+:class:`QueueSnapshot`, computed once per injection phase;
+``queue_length`` itself stays live for per-hop routings (ANCA), which
+read it during switch allocation.
 """
 
 from __future__ import annotations
@@ -68,6 +71,34 @@ def channel_layout(topology: Topology):
         (v for nbrs in adjacency for v in nbrs), dtype=np.int64, count=C
     )
     return degrees, port_base, chan_src, chan_dst
+
+
+class QueueSnapshot:
+    """``queue_length(router, neighbor)``, frozen for one planning batch.
+
+    Injection touches no output stage and no credit, so the occupancies
+    UGAL compares cannot change while an injection phase plans.  The
+    engine calls :meth:`invalidate` before each batch; the first read
+    then takes every channel's length with one ``lengths()`` call (a
+    list indexed by flat channel id), and later reads index it.
+    """
+
+    __slots__ = ("_pb", "_pi", "_lengths", "_q")
+
+    def __init__(self, port_base: list[int], port_index: list[dict], lengths):
+        self._pb = port_base
+        self._pi = port_index
+        self._lengths = lengths
+        self._q: list[int] | None = None
+
+    def invalidate(self) -> None:
+        self._q = None
+
+    def queue_length(self, router: int, neighbor: int) -> int:
+        q = self._q
+        if q is None:
+            q = self._q = self._lengths()
+        return q[self._pb[router] + self._pi[router][neighbor]]
 
 
 class SimNetwork:
@@ -175,6 +206,14 @@ class SimNetwork:
         cap = self.config.buffer_per_vc
         downstream = cap * V - sum(self.credits_flat[c * V : (c + 1) * V])
         return staged + downstream
+
+    def queue_lengths(self) -> list[int]:
+        """:meth:`queue_length` of every channel, by flat channel id."""
+        V = self.num_vcs
+        down = self.config.buffer_per_vc * V - np.asarray(
+            self.credits_flat, dtype=np.int64
+        ).reshape(self.num_channels, V).sum(axis=1)
+        return [len(s) + d for s, d in zip(self.out_stage, down.tolist())]
 
     def total_buffered(self) -> int:
         """Flits resident in input buffers + staging (conservation checks)."""

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from collections import deque
 
-from repro.routing.base import RoutingAlgorithm
+from repro.routing.base import RoutingAlgorithm, SourceRoutedAlgorithm
 from repro.sim.config import SimConfig
 from repro.sim.packet import Packet
 from repro.sim.stats import LatencyAccumulator, SimResult
@@ -194,6 +194,8 @@ class ReferenceEngine:
             if measuring:
                 self.measured_injected += 1
             self.net.enqueue_injection(src, pkt)
+        if self.routing.source_routed:
+            self.routing.sync_rng()
 
     def _desired_next(self, pkt: Packet, router: int) -> int:
         """Next router for a flit at ``router`` (path or per-hop query)."""
@@ -386,7 +388,7 @@ def reference_simulate(
     return ReferenceEngine(topology, routing, traffic, offered_load, config).run()
 
 
-class ReferenceMinimalRouting:
+class ReferenceMinimalRouting(SourceRoutedAlgorithm):
     """The seed commit's MIN hot path, frozen alongside the engine.
 
     The live ``RoutingTables.min_path`` now follows a precomputed
@@ -397,7 +399,6 @@ class ReferenceMinimalRouting:
     """
 
     name = "MIN"
-    source_routed = True
 
     def __init__(self, tables):
         self.tables = tables

@@ -215,6 +215,16 @@ class TestValidation:
         # Zero warmup/drain and zero delays stay valid.
         SimConfig(warmup_cycles=0, drain_cycles=0, credit_delay=0, sa_delay=0)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("size_flits", 0), ("size_flits", -4), ("iterations", 0), ("iterations", -1)],
+    )
+    def test_out_of_range_workload_spec_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            WorkloadSpec("halo2d", 16, **{field: value})
+        # The smallest valid values still construct.
+        WorkloadSpec("halo2d", 16, size_flits=1, iterations=1)
+
     def test_spec_params_dicts_are_not_aliased(self):
         shared: dict = {}
         RoutingSpec("val", shared)

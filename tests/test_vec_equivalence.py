@@ -103,6 +103,23 @@ class TestBitwiseEquivalenceQ5:
         assert flat == vec
 
 
+class TestActiveSetOrder:
+    """The flat engine transmits in its active-router *set* order.
+
+    CPython does not reuse a discarded key's slot when the key is added
+    back, so a router that goes idle and becomes busy again can iterate
+    out of ascending order long after the set has grown.  VAL near
+    saturation at q=5 hits this within 15 cycles; the engine must keep
+    replaying the set order, not assume it stays ascending."""
+
+    def test_readded_router_keeps_set_order(self, sf5, sf5_tables):
+        cfg = SimConfig(warmup_cycles=40, measure_cycles=80, drain_cycles=400, seed=1)
+        traffic = UniformRandom(sf5.num_endpoints)
+        flat = simulate(sf5, ValiantRouting(sf5_tables, seed=1), traffic, 0.5, cfg)
+        vec = vec_simulate(sf5, ValiantRouting(sf5_tables, seed=1), traffic, 0.5, cfg)
+        assert flat == vec
+
+
 class TestBitwiseEquivalenceQ7:
     @pytest.mark.parametrize(
         "make_routing",
