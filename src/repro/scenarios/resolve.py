@@ -17,7 +17,11 @@ import hashlib
 from dataclasses import dataclass
 from typing import Callable
 
-from repro.routing.registry import make_routing, routing_needs_tables
+from repro.routing.registry import (
+    ROUTING_CLASSES,
+    make_routing,
+    routing_needs_tables,
+)
 from repro.routing.tables import RoutingTables
 from repro.scenarios.spec import FaultSpec, Scenario, TopologySpec, canonical_json
 from repro.sim.config import SimConfig
@@ -105,12 +109,13 @@ def tables_for(
 class ResolvedScenario:
     """A scenario's live simulator inputs, ready for dispatch.
 
-    ``backend`` names the engine fidelity the runner dispatches to
-    (a :mod:`repro.sim.backends` registry name; :class:`Scenario`
-    rejects unknown backends at construction).  It may differ
-    from the spec's backend: default-``cycle`` scenarios on large
-    instances execute on ``cycle-vec`` (see :func:`_execution_backend`)
-    while rows and hashes keep reporting the spec's fidelity.
+    ``backend`` names the engine the runner dispatches to (a
+    :mod:`repro.sim.backends` registry name).  For the two cycle
+    spellings it comes from the routing's family, not the spec: per-hop
+    adaptive routings (and runs past cycle-vec's sort-key bound)
+    execute on ``cycle``, every other routing on ``cycle-vec`` (see
+    :func:`_execution_backend`), while rows and hashes keep reporting
+    the spec's fidelity.
     """
 
     scenario: Scenario
@@ -139,21 +144,13 @@ def _unroutable(scenario: Scenario):
     return factory
 
 
-#: Router count from which cycle-fidelity scenarios execute on the
-#: batched ``cycle-vec`` engine by default (Slim Fly q=7 -> 2q^2 = 98
-#: routers: the scale where the batched phases clearly out-amortise
-#: their per-cycle numpy dispatch overhead, per BENCH_sim.json).
-_VEC_DEFAULT_ROUTERS = 98
-
-
 def _vec_feasible(scenario: Scenario, topology: Topology) -> bool:
     """Conservative screen for ``cycle-vec``'s packed int64 sort keys.
 
     Applies the engines' own bound
     (:func:`~repro.sim.engine_vec.packed_keys_fit`), over-estimating
-    the VC count (which the routing algorithm may raise), so the
-    auto-default below never upgrades a scenario into a constructor
-    error.
+    the VC count (which the routing algorithm may raise), so
+    resolution never sends a scenario into a constructor error.
     """
     if scenario.workload is not None:
         limit = (
@@ -168,31 +165,31 @@ def _vec_feasible(scenario: Scenario, topology: Topology) -> bool:
 
 
 def _execution_backend(scenario: Scenario, topology: Topology) -> str:
-    """Engine fidelity the runner should dispatch to.
+    """Engine the runner dispatches a scenario to.
 
-    Cycle-fidelity scenarios on large instances default to the batched
-    ``cycle-vec`` engine: the rows are bit-identical (the differential
-    suite's contract), the scenario hash and the rows' ``fidelity``
-    key both come from the *spec's* backend, so published results,
-    resume identities and figure pipelines are untouched — only the
-    wall-clock changes.  Explicit ``backend="cycle-vec"``/``"flow"``
-    are honoured as written, and small instances stay on the flat
-    engine (below ~100 routers its lower per-cycle overhead wins).
+    One rule for both cycle spellings, by routing family: per-hop
+    adaptive routings (FT ANCA), and runs too long for cycle-vec's
+    packed sort keys, run on ``cycle``; every other routing runs on
+    ``cycle-vec``.  BENCH_sim.json (``crossover``) records why: the
+    flat engine ran ANCA 1.5-1.8x faster than cycle-vec's old scalar
+    replay on 48-432 routers, while cycle-vec runs MIN/VAL/UGAL
+    1.2-1.8x faster already at Slim Fly q=5.  Rows are bit-identical
+    either way; hashes and the rows' ``fidelity`` keep the spec's.
     """
-    if (
-        scenario.backend == "cycle"
-        and topology.num_routers >= _VEC_DEFAULT_ROUTERS
-        and _vec_feasible(scenario, topology)
-    ):
+    if scenario.backend not in ("cycle", "cycle-vec"):
+        return scenario.backend
+    source_routed = ROUTING_CLASSES[scenario.routing.name].source_routed
+    if source_routed and _vec_feasible(scenario, topology):
         return "cycle-vec"
-    return scenario.backend
+    return "cycle"
 
 
 def resolve(scenario: Scenario) -> ResolvedScenario:
     """Resolve every spec of a scenario into live objects.
 
     Tables are only built when the routing algorithm (or a Slim
-    Fly-style worst-case pattern) actually routes over them.  A fault
+    Fly-style worst-case pattern) actually routes over them.  The
+    engine is picked by :func:`_execution_backend`.  A fault
     axis rewrites the topology into its degraded form first; if the
     degraded graph fell apart, resolution returns early with
     ``disconnected=True`` — a structured result, not a crash.

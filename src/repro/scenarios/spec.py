@@ -32,6 +32,7 @@ from repro.sim.config import SimConfig
 from repro.sim.telemetry import TelemetrySpec
 from repro.topologies.registry import TOPOLOGY_BUILDERS, validate_shape_params
 from repro.traffic.registry import PATTERN_KINDS
+from repro.util.validation import check_seed
 from repro.workloads.registry import PLACEMENT_KINDS, WORKLOAD_KINDS
 
 
@@ -118,8 +119,9 @@ class RoutingSpec:
             # draws no random numbers ignores it, so it must not split
             # the hash space (nor reach its constructor).
             self.params.pop("seed", None)
-        elif self.params.get("seed") is None:
-            self.params["seed"] = 0
+        else:
+            seed = self.params.get("seed")
+            self.params["seed"] = check_seed(0 if seed is None else seed)
         validate_routing_params(self.name, self.params)
 
     def to_dict(self) -> dict:
@@ -149,7 +151,10 @@ class TrafficSpec:
             raise ValueError(
                 f"unknown pattern {self.pattern!r}; choose from {PATTERN_KINDS}"
             )
-        self.seed = (self.seed or 0) if self.pattern == "worstcase" else None
+        if self.pattern == "worstcase":
+            self.seed = check_seed(0 if self.seed is None else self.seed)
+        else:
+            self.seed = None
 
     def to_dict(self) -> dict:
         return {"pattern": self.pattern, "seed": self.seed}
@@ -258,7 +263,7 @@ class FaultSpec:
         if self.cut_routers and self.cut_routers[0] < 0:
             raise ValueError("cut_routers must be non-negative router ids")
         if self.link_fraction > 0 or self.router_fraction > 0:
-            self.seed = int(self.seed or 0)
+            self.seed = check_seed(0 if self.seed is None else self.seed)
         else:
             self.seed = None
 
@@ -315,7 +320,9 @@ class Scenario:
     ``backend`` is the engine-fidelity axis
     (:data:`repro.sim.backends.ENGINE_BACKENDS`): ``"cycle"`` runs the
     cycle-accurate engine, ``"cycle-vec"`` its bit-identical batched
-    numpy twin, ``"flow"`` the flow-level fluid solver.
+    numpy twin (the two cycle spellings run the same engine for a
+    given routing: resolution picks it by routing family), ``"flow"``
+    the flow-level fluid solver.
     The default is omitted from the serialized form, so pre-backend
     JSON specs load unchanged and every existing scenario hash — the
     resume/dedup identity of published result files — is preserved.

@@ -282,7 +282,7 @@ def execute_unit(
     events.  The finish events name the engine that actually ran:
     ``backend`` on scenario_finish, ``backends`` (one per scenario)
     on batch_finish — the resolved backend, which may differ from the
-    spec's (large ``cycle`` instances execute on ``cycle-vec``).
+    spec's (resolution picks the cycle engine by routing family).
     """
 
     def _emit(**fields) -> None:

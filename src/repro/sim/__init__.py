@@ -25,7 +25,8 @@ Modules
   ``cycle-vec`` and ``flow`` fidelities behind one simulate/sweep
   contract).
 - :mod:`repro.sim.engine_vec` — the batched-numpy cycle engine
-  (``cycle-vec``).
+  (``cycle-vec``; table-driven and source-routed routings — per-hop
+  adaptive ones run on the flat engine).
 - :mod:`repro.sim.flowlevel` — the flow-level fluid solver (steady-
   state link rates; paper-scale sweeps).
 - :mod:`repro.sim.telemetry` — the opt-in probe plane (latency

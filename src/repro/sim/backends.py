@@ -10,13 +10,15 @@ code.  Three implementations:
   implementation, worker-count independent rows, open and closed loop.
 - ``cycle-vec`` — the same cycle-accurate semantics rebuilt as batched
   numpy phases (:mod:`repro.sim.engine_vec`): bit-exact against
-  ``cycle`` across the full contract — open and closed loop;
-  table-driven, source-routed and per-hop adaptive algorithms — with a
-  speedup that grows with instance size (~2x at q=5, ~7x at q=11,
-  >10x by q=17 — per-cycle numpy dispatch overhead amortises over
-  wider batches).  Because the rows are bit-identical, scenario
-  resolution defaults large cycle-fidelity instances (>= 98 routers,
-  i.e. Slim Fly q>=7) to this backend transparently.
+  ``cycle`` for open and closed loop under table-driven and
+  source-routed algorithms, with a speedup that grows with instance
+  size (~2x at q=5, ~7x at q=11, >10x by q=17 — per-cycle numpy
+  dispatch overhead amortises over wider batches).  Per-hop adaptive
+  algorithms (FT ANCA) have no batched form and are rejected.
+  Scenario resolution picks between the two cycle engines by routing
+  family (:func:`repro.scenarios.resolve._execution_backend`): per-hop
+  routings on ``cycle``, all others here, whichever cycle spelling
+  the spec names.
 - ``flow`` — the flow-level fluid solver (:mod:`repro.sim.flowlevel`):
   steady-state link rates by iterated water-filling, ~100-1000x faster,
   scales to full paper-size MMS instances; open loop only, rows
@@ -173,15 +175,16 @@ class CycleVecBackend(EngineBackend):
 
     Same flit-level semantics as ``cycle``, executed as vectorised
     phases over preallocated arrays.  Open and closed loop;
-    table-driven (MIN), source-routed (VAL/UGAL) and per-hop adaptive
-    (FT ANCA) algorithms.
+    table-driven (MIN) and source-routed (VAL/UGAL) algorithms — a
+    per-hop adaptive one (FT ANCA) raises ``ValueError``.
     """
 
     name = "cycle-vec"
     fidelity = "cycle-accurate (flit level, batched numpy)"
     determinism = (
-        "bit-exact vs the cycle backend (open and closed loop, all "
-        "registry routings); rows identical for any worker count"
+        "bit-exact vs the cycle backend (open and closed loop, every "
+        "registry routing but the per-hop ft-anca); rows identical for "
+        "any worker count"
     )
     supports_closed_loop = True
 

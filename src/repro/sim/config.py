@@ -4,6 +4,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.util.validation import check_seed
+
 
 @dataclass(frozen=True)
 class SimConfig:
@@ -61,6 +63,7 @@ class SimConfig:
         ):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        check_seed(self.seed)
 
     @property
     def hop_latency(self) -> int:

@@ -48,18 +48,17 @@ order whenever that order is not ascending.  The differential suite
 ``cycle`` bit-for-bit across the contract matrix, with the pinned
 saturation/latency tolerance as the documented fallback contract.
 
-Supported: open- and closed-loop traffic; table-driven (MIN),
-source-routed (VAL/UGAL) and per-hop adaptive (FT ANCA) algorithms;
-single- and multi-flit packets.  Closed-loop workloads run on
-:class:`VecClosedLoopEngine`, which batches the dependency-gated
-injection frontier (ready messages as index arrays, message->packet
-segmentation via ``np.repeat``) and reuses the open-loop allocation
-and transmit phases unchanged.  Per-hop adaptive algorithms consult
-``next_hop()`` per head request per cycle from one shared RNG while
-reading queue state that same-cycle grants mutate — a serial
-dependency with no batched form — so switch allocation for them
-replays the flat engine's scan scalar (:meth:`VecEngine._alloc_adaptive`)
-while arrivals, injection and transmit stay vectorised.
+Supported: open- and closed-loop traffic; table-driven (MIN) and
+source-routed (VAL/UGAL) algorithms; single- and multi-flit packets.
+Closed-loop workloads run on :class:`VecClosedLoopEngine`, which
+batches the dependency-gated injection frontier (ready messages as
+index arrays, message->packet segmentation via ``np.repeat``) and
+reuses the open-loop allocation and transmit phases unchanged.
+Per-hop adaptive algorithms (FT ANCA) are rejected at construction:
+they consult ``next_hop()`` per head request per cycle from one
+shared RNG while reading queue state that same-cycle grants mutate —
+a serial dependency with no batched form — so they run on the flat
+``cycle`` engine, which scenario resolution picks for them.
 """
 
 from __future__ import annotations
@@ -97,36 +96,12 @@ def packed_keys_fit(topology: Topology, num_vcs: int, cycle_limit: int) -> bool:
     return groups * rank_span * seq_span < 2**62
 
 
-class _QueueView:
-    """The live ``queue_length`` view per-hop routings (ANCA) read.
-
-    Exposes the same congestion signal as
-    :meth:`repro.sim.network.SimNetwork.queue_length`, backed by the
-    vectorised engine's arrays and read during switch allocation, so
-    per-hop decisions see bit-identical state.  Source-routed planners
-    read a per-phase :class:`~repro.sim.network.QueueSnapshot` instead.
-    """
-
-    __slots__ = ("_pb", "_pi", "_stage_len", "_credits", "_V", "_cap")
-
-    def __init__(self, pb, pi, stage_len, credits, V, cap):
-        self._pb = pb
-        self._pi = pi
-        self._stage_len = stage_len
-        self._credits = credits
-        self._V = V
-        self._cap = cap
-
-    def queue_length(self, router: int, neighbor: int) -> int:
-        c = self._pb[router] + self._pi[router][neighbor]
-        V = self._V
-        s = c * V
-        down = self._cap * V - int(self._credits[s : s + V].sum())
-        return int(self._stage_len[c]) + down
-
-
 class VecEngine:
-    """Drives one batched-numpy simulation run (open loop only)."""
+    """Drives one batched-numpy simulation run (open loop only).
+
+    Takes table-driven and source-routed routings; a per-hop routing
+    raises ``ValueError`` (it runs on the flat ``cycle`` engine).
+    """
 
     def __init__(
         self,
@@ -138,6 +113,12 @@ class VecEngine:
         trace_channels: bool = False,
         telemetry: TelemetrySpec | None = None,
     ):
+        table_driven = getattr(routing, "table_driven", False)
+        if not (table_driven or getattr(routing, "source_routed", False)):
+            raise ValueError(
+                f"per-hop routing {routing.name} has no batched form; "
+                "run it on the cycle backend"
+            )
         self.topology = topology
         self.routing = routing
         self.traffic = traffic
@@ -156,9 +137,6 @@ class VecEngine:
         self.trace_channels = bool(
             trace_channels or (tele is not None and tele.channel_flits)
         )
-
-        table_driven = getattr(routing, "table_driven", False)
-        source_routed = getattr(routing, "source_routed", False)
 
         nr = topology.num_routers
         adjacency = topology.adjacency
@@ -185,11 +163,7 @@ class VecEngine:
 
         self._next_chan_flat: np.ndarray | None = None
         self._plan = None
-        #: Per-hop adaptive ``next_hop`` (FT ANCA): consulted per head
-        #: request per cycle by :meth:`_alloc_adaptive`; None otherwise.
-        self._adaptive = None
         self._chan_of_list: list[list[int]] | None = None
-        self._view: _QueueView | None = None
         self._queues: QueueSnapshot | None = None
         if table_driven:
             nh = np.asarray(routing.next_hop_table(), dtype=np.int64)
@@ -197,10 +171,7 @@ class VecEngine:
                 np.arange(nr, dtype=np.int64)[:, None], nh
             ].ravel()
         else:
-            if source_routed:
-                self._plan = routing.plan
-            else:
-                self._adaptive = routing.next_hop
+            self._plan = routing.plan
             self._chan_of_list = chan_of.tolist()
             pi = [{v: i for i, v in enumerate(nbrs)} for nbrs in adjacency]
             self._pi = pi
@@ -282,6 +253,11 @@ class VecEngine:
         self._credit_horizon = Hc
         self._cw = np.zeros((Hc, 2 * C + n_ep), dtype=np.int64)
         self._cw_n = [0] * Hc
+        #: Per credit slot: each entry's packed grant key, and the
+        #: mirror rank at grant time — enough to replay the flat
+        #: engine's credit push order (see :meth:`_credit_scan_key`).
+        self._cw_key = np.zeros_like(self._cw)
+        self._cw_rank: list[np.ndarray | None] = [None] * Hc
 
         # -- tie-break key packing -----------------------------------------
         # key = grp * (RANK_SPAN * SEQ_SPAN) + inject_time * (2 * SEQ_SPAN)
@@ -334,11 +310,6 @@ class VecEngine:
                 lambda: (
                     stage_len + full - credits.reshape(C, V).sum(axis=1)
                 ).tolist(),
-            )
-        if self._adaptive is not None:
-            self._view = _QueueView(
-                self._pb.tolist(), self._pi, self._stage_len, self.credits,
-                V, cap,
             )
         #: Per-delivery callback over ejected pool ids; stays None open
         #: loop.  The closed-loop subclass uses it to track message
@@ -412,17 +383,32 @@ class VecEngine:
             self._in_mirror[stale] = False
             self._rank_stale = True
 
-    def _mirror_add(self, routers: np.ndarray) -> None:
+    def _mirror_add(self, routers: np.ndarray, scan_key=None) -> None:
         """``set.update(routers)`` on the mirror, as the flat engine's
         per-element ``add`` calls.  Adding a member changes nothing, so
-        only the absent routers (in order) reach the real set."""
+        only the absent routers (in order) reach the real set.  When
+        several join at once their order shapes the hash slots, so
+        ``scan_key()``, if given, sorts them into the flat add order."""
         if len(self._mirror) == self.num_routers:
             return
-        new = routers[~self._in_mirror[routers]]
+        absent = ~self._in_mirror[routers]
+        new = routers[absent]
+        if new.size > 1 and scan_key is not None:
+            new = new[np.argsort(scan_key()[absent], kind="stable")]
         if new.size:
             self._mirror.update(new.tolist())
             self._in_mirror[new] = True
             self._rank_stale = True
+
+    def _credit_scan_key(self, cslot: int, m: int) -> np.ndarray:
+        """Order of the credits returning from slot ``cslot`` as the
+        flat engine pushed them: granting routers in set order, then
+        each router's requests oldest first (the packed key's rank and
+        seq).  Credits queue in ascending buffer order here."""
+        rank = self._cw_rank[cslot]
+        rt = self._buf_router[self._cw[cslot, :m]]
+        pos = rt if rank is None else rank[rt]
+        return pos * self._k_grp + self._cw_key[cslot, :m] % self._k_grp
 
     def _mirror_rank(self) -> np.ndarray | None:
         """Each router's position in the mirror set's iteration order,
@@ -524,7 +510,9 @@ class VecEngine:
             # is safe.  Multi-flit packets return all L credits at once.
             keys = self._cw[cslot, :m]
             self.credits[keys] += self._L
-            self._mirror_add(self._buf_src[keys])
+            self._mirror_add(
+                self._buf_src[keys], lambda: self._credit_scan_key(cslot, m)
+            )
 
     def _phase_injection(self, measuring: bool) -> None:
         load = self.offered_load / self._L
@@ -622,8 +610,6 @@ class VecEngine:
         return counted
 
     def _phase_switch_allocation(self) -> None:
-        if self._adaptive is not None:
-            return self._alloc_adaptive()
         ob = self._buf_len.nonzero()[0]
         oe = self._inj_len.nonzero()[0]
         nb = ob.size
@@ -713,6 +699,8 @@ class VecEngine:
             cslot = (now + self.config.credit_delay) % self._credit_horizon
             m = self._cw_n[cslot]
             self._cw[cslot, m : m + bb.size] = bb
+            self._cw_key[cslot, m : m + bb.size] = key[bsel]
+            self._cw_rank[cslot] = self._mirror_rank()
             self._cw_n[cslot] = m + bb.size
         esel = gi[split:]
         if esel.size:
@@ -776,173 +764,6 @@ class VecEngine:
                 last[:-1] = boundary[1:]
             self._stage_len[fc[last]] += off[last] + 1
             self._n_staged += fsel.size
-
-    def _alloc_adaptive(self) -> None:
-        """Switch allocation for per-hop adaptive routing (FT ANCA).
-
-        The flat engine consults ``next_hop()`` for every head request
-        every cycle — even when the grant then fails — drawing from one
-        shared RNG and reading queue lengths that same-cycle grants at
-        the same router already mutated.  That serial dependency admits
-        no batched grant, so this path replays the flat scan exactly:
-        routers in active-set iteration order, requests per router
-        oldest-first (the same packed rank/seq key), each grant applied
-        immediately so the queue view the next ``next_hop()`` call
-        reads is bit-identical.  All other phases stay vectorised.
-
-        The ``packet`` argument of ``next_hop`` is passed as ``None``
-        (this engine builds no Packet objects); every per-hop algorithm
-        in the registry decides on (router, destination, queue view)
-        alone.
-        """
-        ob = self._buf_len.nonzero()[0]
-        oe = self._inj_len.nonzero()[0]
-        nb = ob.size
-        ne = oe.size
-        n = nb + ne
-        self._discard_idle(ob, oe)
-        if n == 0:
-            return
-        now = self.now
-        L = self._L
-        speedup = self._speedup
-        V = self.num_vcs
-        vc_cap = V - 1
-        cap = self._cap
-        icap = self._icap
-        scap = self._scap
-        credits = self.credits
-        ps = self._ps
-        chan_of = self._chan_of_list
-        next_hop = self._adaptive
-        view = self._view
-        eject_busy = self._eject_busy
-        occ = self._occ
-
-        pk = self._s_pk[:n]
-        seqk = self._s_seqk[:n]
-        if nb:
-            pk[:nb] = self._buf_store[ob, self._buf_head[ob]]
-            seqk[:nb] = self._in_seq[ob]
-        if ne:
-            pk[nb:] = self._inj_store[oe, self._inj_head[oe]]
-            seqk[nb:] = self._inj_seqk[oe]
-        rtr = np.empty(n, dtype=np.int64)
-        if nb:
-            rtr[:nb] = self._buf_router[ob]
-        if ne:
-            rtr[nb:] = self._ep_router[oe]
-        qid = np.empty(n, dtype=np.int64)
-        if nb:
-            qid[:nb] = ob
-        if ne:
-            qid[nb:] = oe
-        # (rank, seq) collapse into one int: the flat request sort key
-        # (seqk already folds the injection bit in via seq_span).
-        lkey = ps[pk, 3] * self._k_inj + seqk
-        # Requesting routers are busy by construction, so every one
-        # survives the discard above and keeps its mirror position.
-        rank = self._mirror_rank()
-        order = np.lexsort((lkey, rtr if rank is None else rank[rtr]))
-
-        cslot = (now + self.config.credit_delay) % self._credit_horizon
-        cw = self._cw[cslot]
-        buf_head = self._buf_head
-        buf_len = self._buf_len
-        inj_head = self._inj_head
-        inj_len = self._inj_len
-        stage_head = self._stage_head
-        stage_len = self._stage_len
-        stage_sb = self._stage_sb
-        p_start = self._p_start
-        warmup = self._warmup
-        end_measure = self._end_measure
-        delivered_pids: list[int] = []
-        granted: dict[int, int] = {}
-        cur_router = -1
-        for i in order.tolist():
-            r = int(rtr[i])
-            if r != cur_router:
-                cur_router = r
-                granted = {}
-            p = int(pk[i])
-            row = ps[p]
-            dst_rt = int(row[1])
-            is_inj = i >= nb
-            q = int(qid[i])
-            if dst_rt == r:
-                ep = int(row[0])
-                if eject_busy[ep] > now:
-                    continue
-                eject_busy[ep] = now + L
-                if is_inj:
-                    h = inj_head[q] + 1
-                    inj_head[q] = h if h < icap else 0
-                    inj_len[q] -= 1
-                    self._n_injq -= 1
-                    p_start[p] = now
-                else:
-                    h = buf_head[q] + 1
-                    buf_head[q] = h if h < cap else 0
-                    buf_len[q] -= 1
-                    self._n_buffered -= 1
-                    m = self._cw_n[cslot]
-                    cw[m] = q
-                    self._cw_n[cslot] = m + 1
-                if occ is not None:
-                    occ[r] -= 1
-                inj_t = int(row[3])
-                if warmup <= inj_t < end_measure:
-                    self.measured_delivered += 1
-                    self._lat_chunks.append(
-                        np.array([now + L - inj_t], dtype=np.int64)
-                    )
-                    self._qlat_chunks.append(
-                        np.array([int(p_start[p]) - inj_t], dtype=np.int64)
-                    )
-                if self._in_window:
-                    self.window_ejections += L
-                delivered_pids.append(p)
-                self._free[self._free_top] = p
-                self._free_top += 1
-                continue
-            nbr = next_hop(r, dst_rt, None, view)
-            c = chan_of[r][nbr]
-            g = granted.get(c, 0)
-            if g >= speedup:
-                continue
-            hop = int(row[2])
-            vc = hop if hop < vc_cap else vc_cap
-            b_out = c * V + vc
-            if credits[b_out] < L:
-                continue
-            credits[b_out] -= L
-            granted[c] = g + 1
-            if is_inj:
-                h = inj_head[q] + 1
-                inj_head[q] = h if h < icap else 0
-                inj_len[q] -= 1
-                self._n_injq -= 1
-                p_start[p] = now
-            else:
-                h = buf_head[q] + 1
-                buf_head[q] = h if h < cap else 0
-                buf_len[q] -= 1
-                self._n_buffered -= 1
-                m = self._cw_n[cslot]
-                cw[m] = q
-                self._cw_n[cslot] = m + 1
-            if occ is not None:
-                occ[r] -= 1
-            spos = stage_head[c] + stage_len[c]
-            if spos >= scap:
-                spos -= scap
-            stage_sb[c, spos, 0] = p
-            stage_sb[c, spos, 1] = b_out
-            stage_len[c] += 1
-            self._n_staged += 1
-        if delivered_pids and self._deliver_pids is not None:
-            self._deliver_pids(np.asarray(delivered_pids, dtype=np.int64))
 
     def _grant_positional(self, n, grp, key, ej):
         """Grant when credits are plentiful: capacity is per group, so
@@ -1225,8 +1046,8 @@ class VecClosedLoopEngine(VecEngine):
     engine does.
 
     Bit-exact against ``ClosedLoopEngine`` — including every
-    per-message ready/completion timestamp — for table-driven,
-    source-routed and per-hop adaptive routing: plans draw in ascending
+    per-message ready/completion timestamp — for table-driven and
+    source-routed routing: plans draw in ascending
     message-id order (the flat injection order), and the allocation
     tie-breaks are the inherited open-loop ones.
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from numbers import Integral
+
 
 def check_positive_int(value, name: str) -> int:
     """Require ``value`` to be a positive integer; return it as ``int``."""
@@ -15,6 +17,16 @@ def check_positive_int(value, name: str) -> int:
         value = as_int
     if value <= 0:
         raise ValueError(f"{name} must be positive, got {value}")
+    return int(value)
+
+
+def check_seed(value) -> int:
+    """Require an RNG seed (a non-negative integer, not a bool) — what
+    ``numpy.random.SeedSequence`` accepts; return it as ``int``."""
+    if isinstance(value, bool) or not isinstance(value, Integral):
+        raise TypeError(f"seed must be a non-negative integer, got {value!r}")
+    if value < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {value}")
     return int(value)
 
 

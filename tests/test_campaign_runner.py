@@ -327,8 +327,10 @@ class TestUnitPath:
         )
 
     def test_finish_events_name_the_backend_that_ran(self, tmp_path):
-        """Large cycle scenarios execute on cycle-vec (>= 98 routers):
-        the heartbeat says so, while rows and meta keep the spec's
+        """The engine comes from the routing's family: source-routed
+        and table-driven routings execute on cycle-vec at any size,
+        per-hop ANCA on cycle whichever cycle spelling the spec uses.
+        The heartbeat says so, while rows and meta keep the spec's
         backend."""
         cfg = SimConfig(warmup_cycles=10, measure_cycles=30, drain_cycles=200)
 
@@ -350,21 +352,54 @@ class TestUnitPath:
                 max_cycles=20_000,
             )
 
+        def ft_anca(backend):
+            return Scenario(
+                topology=TopologySpec("FT-3", params={"p": 4}),
+                routing=RoutingSpec("ft-anca"),
+                sim=cfg,
+                traffic=TrafficSpec("uniform"),
+                loads=[0.1, 0.3],
+                label=f"ft-anca-{backend}",
+                backend=backend,
+            )
+
         out = tmp_path / "rows.jsonl"
         report = run_campaign(
-            Campaign("engines", [sf_open(7), sf_open(5), sf_closed(7), sf_closed(5)]),
+            Campaign("engines", [
+                sf_open(7), sf_open(5), sf_closed(7), sf_closed(5),
+                ft_anca("cycle"), ft_anca("cycle-vec"),
+            ]),
             out=out,
         )
         finishes = {
             e["index"]: e for e in report.events if e["event"] == "scenario_finish"
         }
         assert finishes[0]["backend"] == "cycle-vec"
-        assert finishes[1]["backend"] == "cycle"
+        assert finishes[1]["backend"] == "cycle-vec"
+        assert finishes[4]["backend"] == "cycle"
+        assert finishes[5]["backend"] == "cycle"
         (batch,) = [e for e in report.events if e["event"] == "batch_finish"]
-        assert batch["backends"] == ["cycle-vec", "cycle"]
-        assert {r["fidelity"] for r in report.rows} == {"cycle"}
+        assert batch["backends"] == ["cycle-vec", "cycle-vec"]
+        explicit = "ft-anca-cycle-vec"
+        assert {
+            r["fidelity"] for r in report.rows if r["label"] != explicit
+        } == {"cycle"}
         meta = json.loads(out.with_name(out.name + ".meta.json").read_text())
-        assert "cycle-vec" not in json.dumps(meta)
+        assert "cycle-vec" not in json.dumps(
+            [s for s in meta["scenarios"] if s["label"] != explicit]
+        )
+
+        def result(row):
+            return {
+                k: v for k, v in row.items()
+                if k not in ("scenario", "label", "fidelity", "spec")
+            }
+
+        flat = [r for r in report.rows if r["label"] == "ft-anca-cycle"]
+        vec = [r for r in report.rows if r["label"] == explicit]
+        assert len(flat) == len(vec) == 2
+        assert [r["fidelity"] for r in vec] == ["cycle-vec", "cycle-vec"]
+        assert [result(r) for r in flat] == [result(r) for r in vec]
 
 
 class TestHeartbeatRateGuards:

@@ -8,6 +8,7 @@ import pytest
 
 from repro.scenarios import (
     Campaign,
+    FaultSpec,
     RoutingSpec,
     Scenario,
     TopologySpec,
@@ -224,6 +225,30 @@ class TestValidation:
             WorkloadSpec("halo2d", 16, **{field: value})
         # The smallest valid values still construct.
         WorkloadSpec("halo2d", 16, size_flits=1, iterations=1)
+
+    @pytest.mark.parametrize("bad", [-1, -3, 1.5, "x", True])
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda seed: TrafficSpec("worstcase", seed=seed),
+            lambda seed: RoutingSpec("val", {"seed": seed}),
+            lambda seed: SimConfig(seed=seed),
+            lambda seed: FaultSpec(link_fraction=0.1, seed=seed),
+        ],
+        ids=["traffic", "routing", "sim", "fault"],
+    )
+    def test_invalid_seeds_rejected(self, build, bad):
+        """A seed numpy's SeedSequence would refuse fails at
+        construction, before the spec can be hashed."""
+        with pytest.raises((TypeError, ValueError), match="seed must be"):
+            build(bad)
+
+    def test_numpy_integer_seeds_normalise_to_int(self):
+        import numpy as np
+
+        assert type(TrafficSpec("worstcase", seed=np.int64(3)).seed) is int
+        assert type(RoutingSpec("val", {"seed": np.int32(2)}).params["seed"]) is int
+        assert SimConfig(seed=np.int64(0)).seed == 0
 
     def test_spec_params_dicts_are_not_aliased(self):
         shared: dict = {}

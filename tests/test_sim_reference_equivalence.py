@@ -17,6 +17,7 @@ run; the flat engine preallocates fixed-size arrays.
 import pytest
 
 from repro.routing import MinimalRouting, UGALRouting, ValiantRouting
+from repro.routing.fattree_routing import ANCARouting
 from repro.sim import SimConfig, SimEngine, latency_vs_load, simulate
 from repro.sim.reference import ReferenceEngine, reference_simulate
 from repro.traffic import ShiftPattern, ShufflePattern, SlimFlyWorstCase, UniformRandom
@@ -93,6 +94,35 @@ class TestBitwiseEquivalence:
         traffic = UniformRandom(sf5.num_endpoints)
         ref = reference_simulate(sf5, MinimalRouting(sf5_tables), traffic, 0.3, cfg)
         flat = simulate(sf5, MinimalRouting(sf5_tables), traffic, 0.3, cfg)
+        assert ref == flat
+
+
+class TestPerHopAdaptive:
+    """FT ANCA, the per-hop adaptive routing: the flat engine consults
+    ``next_hop`` per head request per allocation scan, drawing from the
+    routing's RNG and reading live queue lengths, exactly where the
+    seed engine does.  This is ANCA's bit-exact oracle (the batched
+    engine does not run per-hop routings)."""
+
+    @pytest.mark.parametrize("pattern", ["uniform", "shuffle"])
+    @pytest.mark.parametrize("load", [0.2, 0.5, 0.9])
+    def test_open_loop(self, ft4, pattern, load):
+        if pattern == "uniform":
+            traffic = UniformRandom(ft4.num_endpoints)
+        else:
+            traffic = ShufflePattern(ft4.num_endpoints)
+        ref = reference_simulate(ft4, ANCARouting(ft4, seed=3), traffic, load, CFG)
+        flat = simulate(ft4, ANCARouting(ft4, seed=3), traffic, load, CFG)
+        assert ref == flat
+
+    def test_multiflit(self, ft4):
+        cfg = SimConfig(
+            packet_length=2, warmup_cycles=120, measure_cycles=300,
+            drain_cycles=2500, seed=4,
+        )
+        traffic = UniformRandom(ft4.num_endpoints)
+        ref = reference_simulate(ft4, ANCARouting(ft4, seed=3), traffic, 0.3, cfg)
+        flat = simulate(ft4, ANCARouting(ft4, seed=3), traffic, 0.3, cfg)
         assert ref == flat
 
 

@@ -8,26 +8,32 @@ tie-breaks (rank, buffer first-use order, endpoint order) and the same
 event orderings, so every :class:`~repro.sim.stats.SimResult` field
 matches exactly.  The matrix covers MIN/VAL/UGAL-L (+UGAL-G) ×
 uniform/worst-case at q=5 and q=7, vectorised fixed patterns, and
-multi-flit packets.
+multi-flit packets; seeded random cells spread the same check over
+small Slim Flies and Dragonflies (SF q=3/5, DF h=2/3), which run on
+cycle-vec in production.
 
 The documented fallback contract — saturation point within one 0.1
 load-grid step, mean latency within 2% below saturation — is pinned by
 the sweep-level test; with the current engine it holds trivially
 because the per-point results are exact.
 
-Closed-loop workloads and per-hop adaptive routing (FT ANCA) are in
-scope since the cycle-vec-everywhere PR: the closed-loop matrix pins
-every per-message ready/completion timestamp bit-exact, the adaptive
-cells replay the flat engine's shared-RNG ``next_hop`` scan, and the
+Closed-loop workloads are in scope: the closed-loop matrix pins every
+per-message ready/completion timestamp bit-exact, and the
 campaign-level tests pin byte-identical rows across worker counts and
-through the service execution path (which exercises the q>=7
-cycle->cycle-vec auto-default).
+through the service execution path.  Per-hop adaptive routing (FT
+ANCA) is out of scope: the batched engines reject it, and scenario
+resolution runs it on ``cycle`` (``TestEngineDispatch``); its oracle
+is ``sim/reference.py`` (``test_sim_reference_equivalence.py``).
 """
 
+import functools
+
+import numpy as np
 import pytest
 
 from repro.routing import MinimalRouting, UGALRouting, ValiantRouting
 from repro.routing.fattree_routing import ANCARouting
+from repro.routing.registry import SEEDED, make_routing
 from repro.routing.tables import RoutingTables
 from repro.sim import (
     SimConfig,
@@ -38,7 +44,9 @@ from repro.sim import (
     vec_simulate,
     vec_simulate_workload,
 )
+from repro.topologies.registry import balanced_instance
 from repro.traffic import ShiftPattern, ShufflePattern, SlimFlyWorstCase, UniformRandom
+from repro.traffic.registry import make_pattern
 from repro.workloads.registry import make_placed_workload
 
 CFG = SimConfig(warmup_cycles=120, measure_cycles=300, drain_cycles=1500, seed=11)
@@ -118,6 +126,70 @@ class TestActiveSetOrder:
         flat = simulate(sf5, ValiantRouting(sf5_tables, seed=1), traffic, 0.5, cfg)
         vec = vec_simulate(sf5, ValiantRouting(sf5_tables, seed=1), traffic, 0.5, cfg)
         assert flat == vec
+
+
+#: Each small network with the routings it runs on cycle-vec (every
+#: registry routing but FT ANCA) and the patterns drawn for it.
+_RANDOM_FAMILIES = {
+    ("SF", "q", 3): (("min", "val", "ugal-l", "ugal-g"), ("uniform", "worstcase")),
+    ("SF", "q", 5): (("min", "val", "ugal-l", "ugal-g"), ("uniform", "worstcase")),
+    ("DF", "h", 2): (("df-min", "df-ugal-l", "df-ugal-g"), ("uniform",)),
+    ("DF", "h", 3): (("df-min", "df-ugal-l", "df-ugal-g"), ("uniform",)),
+}
+
+
+def _random_cells(seed=20261018, extra=10):
+    """Every (network, routing) pair once plus ``extra`` drawn pairs,
+    each with a drawn pattern, load in [0.05, 0.9], engine seed 1 or 2
+    and a short window — drawn once from a pinned generator, so the
+    cells are fixed while still not hand-picked."""
+    rng = np.random.default_rng(seed)
+    pairs = [(net, r) for net, (rs, _) in _RANDOM_FAMILIES.items() for r in rs]
+    pairs += [pairs[i] for i in rng.integers(len(pairs), size=extra)]
+    cells = []
+    for net, routing in pairs:
+        patterns = _RANDOM_FAMILIES[net][1]
+        pattern = patterns[int(rng.integers(len(patterns)))]
+        load = round(float(rng.uniform(0.05, 0.9)), 3)
+        sim_seed = int(rng.integers(1, 3))
+        warmup, measure = int(rng.integers(20, 61)), int(rng.integers(40, 121))
+        cells.append(pytest.param(
+            net, routing, pattern, load, sim_seed, warmup, measure,
+            id=f"{net[0]}{net[2]}-{routing}-{pattern}-{load}-s{sim_seed}",
+        ))
+    return cells
+
+
+@functools.cache
+def _network(name, key, value):
+    topology = balanced_instance(name, 0, **{key: value})
+    return topology, RoutingTables(topology.adjacency)
+
+
+class TestRandomCells:
+    """Seeded random differential cells over the small networks that
+    run on cycle-vec in production (the fixed matrix above covers
+    q=5/q=7 at hand-picked points)."""
+
+    @pytest.mark.parametrize(
+        "net, routing, pattern, load, seed, warmup, measure", _random_cells()
+    )
+    def test_cell(self, net, routing, pattern, load, seed, warmup, measure):
+        topology, tables = _network(*net)
+        params = {"seed": seed} if routing in SEEDED else {}
+        traffic = make_pattern(pattern, topology, tables=tables, seed=0)
+        cfg = SimConfig(
+            warmup_cycles=warmup, measure_cycles=measure, drain_cycles=300,
+            seed=seed,
+        )
+
+        def run(engine):
+            algo = make_routing(routing, topology, tables=tables, **params)
+            return engine(topology, algo, traffic, load, cfg)
+
+        # repr, not ==: a saturated cell that delivers no measured
+        # packet reports NaN latencies, and NaN != NaN.
+        assert repr(run(simulate)) == repr(run(vec_simulate))
 
 
 class TestBitwiseEquivalenceQ7:
@@ -347,83 +419,80 @@ class TestClosedLoopEquivalence:
             eng.run(max_cycles=200)
 
 
-class TestAdaptiveEquivalence:
-    """Per-hop adaptive routing (FT ANCA): the vec engine replays the
-    flat engine's per-request ``next_hop`` scan — one shared-RNG draw
-    per upward head request per cycle, reading live queue lengths — so
-    open- and closed-loop results stay bit-exact."""
+class TestEngineDispatch:
+    """Resolution picks the cycle engine from the routing's family:
+    per-hop adaptive routings (and runs past the packed-key bound) on
+    ``cycle``, every other routing on ``cycle-vec``, for both cycle
+    spellings; the batched engines refuse per-hop routings outright."""
 
-    @pytest.mark.parametrize("pattern", ["uniform", "shuffle"])
-    @pytest.mark.parametrize("load", [0.2, 0.5])
-    def test_open_loop(self, ft4, pattern, load):
-        if pattern == "uniform":
-            traffic = UniformRandom(ft4.num_endpoints)
-        else:
-            traffic = ShufflePattern(ft4.num_endpoints)
-        flat = simulate(ft4, ANCARouting(ft4, seed=3), traffic, load, CFG)
-        vec = vec_simulate(ft4, ANCARouting(ft4, seed=3), traffic, load, CFG)
-        assert flat == vec
+    def test_vec_engine_rejects_per_hop_routing(self, ft4):
+        with pytest.raises(ValueError, match="cycle backend"):
+            VecEngine(
+                ft4, ANCARouting(ft4, seed=0), UniformRandom(ft4.num_endpoints),
+                0.3, CFG,
+            )
 
-    def test_open_loop_multiflit(self, ft4):
-        cfg = SimConfig(
-            packet_length=2, warmup_cycles=120, measure_cycles=300,
-            drain_cycles=2500, seed=4,
-        )
-        traffic = UniformRandom(ft4.num_endpoints)
-        flat = simulate(ft4, ANCARouting(ft4, seed=3), traffic, 0.3, cfg)
-        vec = vec_simulate(ft4, ANCARouting(ft4, seed=3), traffic, 0.3, cfg)
-        assert flat == vec
+    def test_vec_closed_loop_engine_rejects_per_hop_routing(self, ft4):
+        from repro.sim.engine_vec import VecClosedLoopEngine
 
-    def test_open_loop_worstcase_load(self, ft4):
-        """High load keeps upward queues busy, exercising the live
-        queue-length reads inside the same-cycle allocation scan."""
-        traffic = UniformRandom(ft4.num_endpoints)
-        flat = simulate(ft4, ANCARouting(ft4, seed=3), traffic, 0.9, CFG7)
-        vec = vec_simulate(ft4, ANCARouting(ft4, seed=3), traffic, 0.9, CFG7)
-        assert flat == vec
-
-    @pytest.mark.parametrize("kind", ["alltoall", "halo2d"])
-    def test_closed_loop(self, ft4, kind):
         wl = make_placed_workload(
-            kind, ft4, 16, size_flits=4, iterations=1, placement="spread"
+            "alltoall", ft4, 8, size_flits=1, iterations=1, placement="spread"
         )
-        cfg = SimConfig(seed=11)
-        flat = simulate_workload(ft4, ANCARouting(ft4, seed=3), wl, cfg)
-        vec = vec_simulate_workload(ft4, ANCARouting(ft4, seed=3), wl, cfg)
-        _assert_workload_equal(flat, vec)
+        with pytest.raises(ValueError, match="cycle backend"):
+            VecClosedLoopEngine(ft4, ANCARouting(ft4, seed=0), wl, CFG)
 
-    def test_telemetry_open_loop(self, ft4):
-        """Armed probes must read identically off the adaptive scalar
-        allocation path (occupancy decrements happen per grant there)."""
-        tele = TelemetrySpec.full()
-        traffic = UniformRandom(ft4.num_endpoints)
-        flat = simulate(
-            ft4, ANCARouting(ft4, seed=3), traffic, 0.4, CFG, telemetry=tele
-        )
-        vec = vec_simulate(
-            ft4, ANCARouting(ft4, seed=3), traffic, 0.4, CFG, telemetry=tele
-        )
-        assert flat == vec
-        assert tuple(flat.telemetry.channel_flits) == tuple(
-            vec.telemetry.channel_flits
-        )
-        assert tuple(flat.telemetry.max_queue) == tuple(vec.telemetry.max_queue)
+    @pytest.mark.parametrize("backend", ["cycle", "cycle-vec", "flow"])
+    @pytest.mark.parametrize(
+        "topology, params, routing, engine",
+        [
+            ("SF", {"q": 3}, "min", "cycle-vec"),
+            ("SF", {"q": 5}, "val", "cycle-vec"),
+            ("SF", {"q": 5}, "ugal-l", "cycle-vec"),
+            ("SF", {"q": 7}, "ugal-g", "cycle-vec"),
+            ("DF", {"h": 2}, "df-min", "cycle-vec"),
+            ("DF", {"h": 2}, "df-ugal-l", "cycle-vec"),
+            ("FT-3", {"p": 4}, "ft-anca", "cycle"),
+            ("FT-3", {"p": 8}, "ft-anca", "cycle"),
+        ],
+    )
+    def test_routing_family_picks_the_engine(
+        self, topology, params, routing, engine, backend
+    ):
+        from repro.scenarios import RoutingSpec, Scenario, TopologySpec, TrafficSpec
+        from repro.scenarios.resolve import resolve
 
-
-class TestScope:
-    def test_per_hop_adaptive_constructs(self, ft4):
-        """ANCA (neither table-driven nor source-routed) is in scope:
-        construction selects the per-hop adaptive allocation path."""
-        eng = VecEngine(
-            ft4, ANCARouting(ft4, seed=0), UniformRandom(ft4.num_endpoints),
-            0.3, CFG,
+        scenario = Scenario(
+            topology=TopologySpec(topology, params=params),
+            routing=RoutingSpec(routing),
+            sim=CFG7,
+            traffic=TrafficSpec("uniform"),
+            loads=[0.1],
+            backend=backend,
         )
-        assert eng._adaptive is not None
+        expected = "flow" if backend == "flow" else engine
+        assert resolve(scenario).backend == expected
+        assert scenario.backend == backend
+
+    def test_rule_reads_the_routing_class(self, monkeypatch):
+        """The family comes from ``source_routed`` on the registry
+        class, not from a list of routing names."""
+        from repro.scenarios import RoutingSpec, Scenario, TopologySpec, TrafficSpec
+        from repro.scenarios.resolve import resolve
+
+        scenario = Scenario(
+            topology=TopologySpec("SF", params={"q": 5}),
+            routing=RoutingSpec("val"),
+            traffic=TrafficSpec("uniform"),
+            loads=[0.1],
+        )
+        assert resolve(scenario).backend == "cycle-vec"
+        monkeypatch.setattr(ValiantRouting, "source_routed", False)
+        assert resolve(scenario).backend == "cycle"
 
 
 def _closed_campaign():
-    """A two-scenario closed-loop campaign at SF q=7 (98 routers — the
-    cycle->cycle-vec auto-default threshold)."""
+    """A two-scenario closed-loop campaign at SF q=7 (default ``cycle``
+    specs that execute on ``cycle-vec``)."""
     from repro.scenarios import (
         Campaign,
         RoutingSpec,
@@ -449,7 +518,7 @@ def _closed_campaign():
 
 
 class TestCampaignAndService:
-    """Campaign-level byte identity through the auto-default: at q=7 a
+    """Campaign-level byte identity through the dispatch rule: at q=7 a
     default-``cycle`` closed-loop scenario resolves to ``cycle-vec``
     execution, and the rows must stay byte-identical for any worker
     count and through the service execution path — with the published
@@ -463,8 +532,8 @@ class TestCampaignAndService:
             assert resolve(s).backend == "cycle-vec"
 
     def test_key_overflow_keeps_flat_engine(self):
-        """Past the packed int64 key bound a >=98-router scenario stays
-        on ``cycle``: resolution screens with the bound the batched
+        """Past the packed int64 key bound a MIN scenario stays on
+        ``cycle``: resolution screens with the bound the batched
         engine's constructor enforces."""
         from repro.scenarios import RoutingSpec, Scenario, TopologySpec, TrafficSpec
         from repro.scenarios.resolve import resolve
@@ -481,7 +550,6 @@ class TestCampaignAndService:
 
         cfg = SimConfig(warmup_cycles=0, measure_cycles=10**13, drain_cycles=0)
         resolved = resolve(scenario(cfg))
-        assert resolved.topology.num_routers >= 98
         assert not packed_keys_fit(resolved.topology, cfg.num_vcs, 10**13)
         assert resolved.backend == "cycle"
         with pytest.raises(ValueError, match="packed int64 sort keys"):
@@ -489,7 +557,7 @@ class TestCampaignAndService:
                 resolved.topology, resolved.routing_factory(),
                 resolved.traffic, 0.1, cfg,
             )
-        # The same instance at a normal run length takes the default.
+        # The same instance at a normal run length runs on cycle-vec.
         assert resolve(scenario(CFG7)).backend == "cycle-vec"
 
     def test_worker_count_byte_identity(self, tmp_path):
